@@ -17,7 +17,13 @@ cell (~28k packets against 1.5 MB buffers; ``1.5x`` in ``--quick`` mode,
 whose cell is small enough for CI smoke runs).  A second stage re-runs a
 small rapid/maxprop/prophet grid through the experiment engine serially,
 fanned out over worker processes and against a cold-then-warm result
-cache, asserting all three backends emit byte-identical results.
+cache, asserting all three backends emit byte-identical results.  A
+third stage runs a sparse-destination cell on both paths — many nodes,
+shallow buffers of 1 KB packets, no control channel, so nearly every
+queued destination is distinct and every insert into a full buffer
+rescores it — asserting byte-identical output and recording both wall
+times under ``sparse_cell``; it has no speedup floor while the fast path
+still trails the reference there.
 ``--scale`` additionally runs a 5 000-node / 500 000-packet synthetic
 cell on the fast path only, recording wall time and peak RSS — the
 bounded-memory scale probe.  Everything lands in
@@ -37,8 +43,9 @@ import os
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -77,6 +84,14 @@ SCALE_PACKETS = 500_000
 SCALE_MEETINGS = 60_000
 SCALE_DURATION = 3600.0
 
+#: Sparse-destination cell: (nodes, packets, contacts, buffer KB) in full
+#: and quick mode.  Packets are created in the first 5% of an hour, so the
+#: buffers sit full for most contacts and the eviction cascade dominates.
+SPARSE_FULL = (200, 3000, 150, 30)
+SPARSE_QUICK = (100, 1500, 80, 20)
+SPARSE_DURATION = 3600.0
+SPARSE_CREATION_WINDOW = 0.05
+
 
 def _hotpath_inputs(quick: bool):
     """The buffer-constrained synthetic RAPID cell the gate times.
@@ -112,12 +127,23 @@ def _hotpath_inputs(quick: bool):
     return schedule, packets, 1500 * units.KB
 
 
-def _run_hotpath_cell(quick: bool, slow: bool) -> Tuple[Dict[str, object], float, int]:
-    """Run the cell on one path; return (to_dict payload, wall seconds, #packets)."""
+@contextmanager
+def _estimates_path(slow: bool) -> Iterator[None]:
+    """Run the block on the fast path, or on the reference path if *slow*."""
     previous = os.environ.pop(ENV_SLOW_ESTIMATES, None)
     if slow:
         os.environ[ENV_SLOW_ESTIMATES] = "1"
     try:
+        yield
+    finally:
+        os.environ.pop(ENV_SLOW_ESTIMATES, None)
+        if previous is not None:
+            os.environ[ENV_SLOW_ESTIMATES] = previous
+
+
+def _run_hotpath_cell(quick: bool, slow: bool) -> Tuple[Dict[str, object], float, int]:
+    """Run the cell on one path; return (to_dict payload, wall seconds, #packets)."""
+    with _estimates_path(slow):
         schedule, packets, capacity = _hotpath_inputs(quick)
         started = time.perf_counter()
         result = run_simulation(
@@ -129,10 +155,6 @@ def _run_hotpath_cell(quick: bool, slow: bool) -> Tuple[Dict[str, object], float
         )
         elapsed = time.perf_counter() - started
         return result.to_dict(), elapsed, len(packets)
-    finally:
-        os.environ.pop(ENV_SLOW_ESTIMATES, None)
-        if previous is not None:
-            os.environ[ENV_SLOW_ESTIMATES] = previous
 
 
 def _canonical(payloads: List[Dict[str, object]]) -> str:
@@ -182,23 +204,28 @@ def _backend_identity_check(tmp_cache_dir: Path) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Scale probe (--scale): 5k nodes x 500k packets, fast path only
+# Uniform random contacts and endpoints: the sparse cell and the scale probe
 # ----------------------------------------------------------------------
-def _scale_inputs() -> Tuple[MeetingSchedule, List[Packet], float]:
-    """Build the sparse 5k-node synthetic cell directly.
+def _random_pair_inputs(
+    seed: int,
+    nodes: int,
+    num_packets: int,
+    num_meetings: int,
+    duration: float,
+    creation_window: float,
+) -> Tuple[MeetingSchedule, List[Packet]]:
+    """Random node pairs meeting at uniform times; 1 KB packets, random endpoints.
 
-    The pairwise mobility samplers are O(nodes^2) and unusable at this
-    scale, so the schedule is drawn directly: ``SCALE_MEETINGS`` random
-    node pairs at uniform times.  Packets are drawn the same way (random
-    sources and destinations).  Shallow 30 KB buffers keep every node
-    under storage pressure so the probe exercises the eviction kernels,
-    not just insertion.
+    The pairwise mobility samplers are O(nodes^2), so the schedule is
+    drawn directly: ``num_meetings`` random node pairs at uniform times,
+    40 KB each.  Packets get random sources and destinations and uniform
+    creation times in the first ``creation_window`` of the run.
     """
-    rng = np.random.default_rng(42)
-    times = np.sort(rng.uniform(0.0, SCALE_DURATION, size=SCALE_MEETINGS))
-    pairs = rng.integers(0, SCALE_NODES, size=(SCALE_MEETINGS, 2))
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, duration, size=num_meetings))
+    pairs = rng.integers(0, nodes, size=(num_meetings, 2))
     same = pairs[:, 0] == pairs[:, 1]
-    pairs[same, 1] = (pairs[same, 0] + 1) % SCALE_NODES
+    pairs[same, 1] = (pairs[same, 0] + 1) % nodes
     meetings = [
         Meeting(
             time=float(times[i]),
@@ -206,16 +233,16 @@ def _scale_inputs() -> Tuple[MeetingSchedule, List[Packet], float]:
             node_b=int(pairs[i, 1]),
             capacity=40 * units.KB,
         )
-        for i in range(SCALE_MEETINGS)
+        for i in range(num_meetings)
     ]
-    schedule = MeetingSchedule(
-        meetings, nodes=range(SCALE_NODES), duration=SCALE_DURATION
-    )
+    schedule = MeetingSchedule(meetings, nodes=range(nodes), duration=duration)
 
-    creation = np.sort(rng.uniform(0.0, SCALE_DURATION * 0.8, size=SCALE_PACKETS))
-    endpoints = rng.integers(0, SCALE_NODES, size=(SCALE_PACKETS, 2))
+    creation = np.sort(
+        rng.uniform(0.0, duration * creation_window, size=num_packets)
+    )
+    endpoints = rng.integers(0, nodes, size=(num_packets, 2))
     same = endpoints[:, 0] == endpoints[:, 1]
-    endpoints[same, 1] = (endpoints[same, 0] + 1) % SCALE_NODES
+    endpoints[same, 1] = (endpoints[same, 0] + 1) % nodes
     packets = [
         Packet(
             packet_id=i,
@@ -224,8 +251,67 @@ def _scale_inputs() -> Tuple[MeetingSchedule, List[Packet], float]:
             size=units.KB,
             creation_time=float(creation[i]),
         )
-        for i in range(SCALE_PACKETS)
+        for i in range(num_packets)
     ]
+    return schedule, packets
+
+
+def run_sparse_cell(quick: bool) -> Dict[str, object]:
+    """Run the sparse-destination cell on both paths; assert identical output.
+
+    With ~one packet per destination in each buffer this is the regime
+    where the batched ``bytes_ahead`` kernel gets the least batching, and
+    where the reference scans over ~30-packet buffers are cheap.
+    """
+    nodes, num_packets, num_meetings, buffer_kb = SPARSE_QUICK if quick else SPARSE_FULL
+    schedule, packets = _random_pair_inputs(
+        1, nodes, num_packets, num_meetings, SPARSE_DURATION, SPARSE_CREATION_WINDOW
+    )
+    payloads = []
+    walls = []
+    for slow in (False, True):
+        with _estimates_path(slow):
+            started = time.perf_counter()
+            result = run_simulation(
+                schedule,
+                packets,
+                create_factory("rapid", control_channel="none"),
+                buffer_capacity=buffer_kb * units.KB,
+                seed=1,
+            )
+            walls.append(time.perf_counter() - started)
+        payloads.append(_canonical([result.to_dict()]))
+    assert payloads[0] == payloads[1], (
+        "sparse cell: fast path output differs from the REPRO_SLOW_ESTIMATES reference"
+    )
+    fast_s, slow_s = walls
+    return {
+        "nodes": nodes,
+        "packets": num_packets,
+        "meetings": num_meetings,
+        "buffer_kb": buffer_kb,
+        "control_channel": "none",
+        "fast_wall_time_s": round(fast_s, 6),
+        "reference_wall_time_s": round(slow_s, 6),
+        "speedup": round(slow_s / fast_s, 3) if fast_s > 0 else float("inf"),
+        "speedup_floor": None,
+        "floor_note": "no floor: the fast path still trails the reference on this cell",
+        "bit_identical_to_reference": True,
+    }
+
+
+# ----------------------------------------------------------------------
+# Scale probe (--scale): 5k nodes x 500k packets, fast path only
+# ----------------------------------------------------------------------
+def _scale_inputs() -> Tuple[MeetingSchedule, List[Packet], float]:
+    """The sparse 5k-node synthetic cell.
+
+    Shallow 30 KB buffers keep every node under storage pressure so the
+    probe exercises the eviction kernels, not just insertion.
+    """
+    schedule, packets = _random_pair_inputs(
+        42, SCALE_NODES, SCALE_PACKETS, SCALE_MEETINGS, SCALE_DURATION, 0.8
+    )
     return schedule, packets, 30 * units.KB
 
 
@@ -298,6 +384,7 @@ def run_gate(
         "bit_identical_to_reference": True,
         "identity_check": identity,
     }
+    payload["sparse_cell"] = run_sparse_cell(quick)
     if scale:
         payload["scale_probe"] = run_scale_probe()
     emit_bench_json("rapid_hotpath", payload)

@@ -12,9 +12,16 @@ per-destination *serve-order index*: the same-destination packets sorted
 by ``(creation_time, packet_id)`` — the static serve order of Algorithm 2
 (oldest first, ties by id) — together with lazily rebuilt prefix sums of
 their sizes.  ``bytes_ahead_of`` is then one binary search instead of a
-scan over the whole buffer, and :meth:`bytes_ahead_batch` answers a whole
-meeting's worth of queries with one vectorised ``searchsorted`` per
-destination.  Setting ``REPRO_SLOW_ESTIMATES=1`` restores the original
+scan over the whole buffer.
+
+:meth:`NodeBuffer.bytes_ahead_batch` answers a whole batch of queries
+from one buffer-wide numpy mirror of that order (:class:`_ServeOrderMirror`,
+rebuilt lazily after each mutation): every packet sorted by
+``(destination, creation_time, packet_id)`` and encoded as one ``int64``
+key, with size prefix sums over the whole sorted buffer.  One
+``searchsorted`` then serves every destination at once, so the cost per
+batch is a fixed number of numpy calls however many destinations the
+buffer holds.  Setting ``REPRO_SLOW_ESTIMATES=1`` restores the original
 O(buffer) reference scan; both paths return identical values (the golden
 tests assert bit-identical simulation output).
 
@@ -44,10 +51,13 @@ from .packet_store import PacketStore
 #: by the batched ``bytes_ahead`` kernel; larger ids fall back to the
 #: per-item binary search (same values, just not vectorised).
 _ID_ENCODING_LIMIT = 1 << 32
+#: The combined (destination, creation-time) rank fills the high 31 bits
+#: of the key, which keeps every key a non-negative ``int64``.
+_RANK_ENCODING_LIMIT = 1 << 31
 
 
 class _DestinationQueue:
-    """Serve-order index of one destination's packets.
+    """Serve-order index of one destination's packets (scalar queries).
 
     ``keys`` holds ``(creation_time, packet_id)`` sorted ascending — the
     exact order in which same-destination packets are served (descending
@@ -55,35 +65,17 @@ class _DestinationQueue:
     parallel to ``keys``; prefix sums over it are rebuilt lazily on the
     first query after a mutation, so a burst of queries between meetings
     pays O(log n) each while adds/removes stay O(n) list surgery at worst.
-
-    For the batched kernel the queue additionally mirrors itself into
-    numpy arrays (also rebuilt lazily): the unique creation times, the
-    serve order encoded as one ``int64`` key ``rank(creation_time) << 32 |
-    packet_id``, and the size prefix sums.  Encoding both sort dimensions
-    into a single integer key lets one vectorised ``searchsorted`` answer
-    every query for this destination at once.
+    Batched queries go through the buffer-wide :class:`_ServeOrderMirror`
+    instead; they use this index only for ids the mirror cannot encode.
     """
 
-    __slots__ = (
-        "keys",
-        "sizes",
-        "_prefix",
-        "_dirty",
-        "_np_unique_cts",
-        "_np_keys",
-        "_np_prefix",
-        "_np_dirty",
-    )
+    __slots__ = ("keys", "sizes", "_prefix", "_dirty")
 
     def __init__(self) -> None:
         self.keys: List[Tuple[float, int]] = []
         self.sizes: List[int] = []
         self._prefix: List[int] = [0]
         self._dirty = False
-        self._np_unique_cts: Optional[np.ndarray] = None
-        self._np_keys: Optional[np.ndarray] = None
-        self._np_prefix: Optional[np.ndarray] = None
-        self._np_dirty = True
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -93,7 +85,6 @@ class _DestinationQueue:
         self.keys.insert(index, key)
         self.sizes.insert(index, size)
         self._dirty = True
-        self._np_dirty = True
 
     def remove(self, key: Tuple[float, int]) -> None:
         index = bisect_left(self.keys, key)
@@ -102,7 +93,6 @@ class _DestinationQueue:
         del self.keys[index]
         del self.sizes[index]
         self._dirty = True
-        self._np_dirty = True
 
     def bytes_before(self, key: Tuple[float, int]) -> int:
         """Total size of entries served strictly before *key*."""
@@ -116,59 +106,96 @@ class _DestinationQueue:
     def max_creation_time(self) -> float:
         return self.keys[-1][0] if self.keys else float("-inf")
 
-    # ------------------------------------------------------------------
-    # Vectorised mirror
-    # ------------------------------------------------------------------
-    def _rebuild_arrays(self) -> bool:
-        """Rebuild the numpy mirror; ``False`` when ids overflow the encoding."""
-        count = len(self.keys)
-        cts = np.fromiter((k[0] for k in self.keys), dtype=np.float64, count=count)
-        ids = np.fromiter((k[1] for k in self.keys), dtype=np.int64, count=count)
-        if count and (ids[-1] >= _ID_ENCODING_LIMIT or ids.max() >= _ID_ENCODING_LIMIT):
-            self._np_keys = None
-            self._np_dirty = False
-            return False
-        unique_cts, ranks = np.unique(cts, return_inverse=True)
-        self._np_unique_cts = unique_cts
-        self._np_keys = (ranks.astype(np.int64) << 32) | ids
-        prefix = np.zeros(count + 1, dtype=np.int64)
-        if count:
-            np.cumsum(
-                np.fromiter(self.sizes, dtype=np.int64, count=count), out=prefix[1:]
-            )
-        self._np_prefix = prefix
-        self._np_dirty = False
-        return True
 
-    def bytes_before_batch(
-        self, creation_times: np.ndarray, packet_ids: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Vectorised :meth:`bytes_before` for many queries at once.
+class _ServeOrderMirror:
+    """Buffer-wide numpy mirror of every destination's serve order.
 
-        Returns ``None`` when the encoding cannot represent this queue's
-        ids (caller falls back to per-item binary search).  Query packets
-        need not be present in the queue; absent creation times resolve to
-        the insertion rank, matching ``bisect_left`` on the tuple keys.
-        """
-        if self._np_dirty and not self._rebuild_arrays():
-            return None
-        if self._np_keys is None:
-            return None
-        if len(packet_ids) and (
-            packet_ids.min() < 0 or packet_ids.max() >= _ID_ENCODING_LIMIT
+    The packets are sorted once by ``(destination, creation_time,
+    packet_id)``, so each destination's queue is one contiguous segment
+    of the sorted arrays.  Each packet is encoded as one ``int64`` key,
+    ``(rank(destination) * radix + rank(creation_time)) << 32 | packet_id``.
+    A creation time's rank is the number of buffered creation times below
+    it plus the number at or below it, so it is strictly monotone over
+    the buffered times, and a time absent from the buffer falls strictly
+    between its buffered neighbours; ``radix = 2 * len(buffer) + 1``
+    exceeds every rank.  A query encoded the same way therefore lands,
+    under one ``searchsorted``, exactly where ``bisect_left`` on its
+    destination's ``(creation_time, packet_id)`` tuples would put it.
+    ``prefix`` holds the size prefix sums over the whole sorted buffer, so
+    a query's bytes ahead are ``prefix[position] - prefix[segment_start]``.
+
+    ``keys`` is ``None`` when the buffer holds an id outside
+    ``[0, 2**32)`` or the ranks overflow the key; callers then fall back
+    to the per-destination list index.
+    """
+
+    __slots__ = (
+        "destinations",
+        "segment_start",
+        "newest",
+        "creation_times",
+        "radix",
+        "keys",
+        "prefix",
+    )
+
+    def __init__(
+        self,
+        destinations: np.ndarray,
+        creation_times: np.ndarray,
+        ids: np.ndarray,
+        sizes: np.ndarray,
+    ) -> None:
+        order = np.lexsort((ids, creation_times, destinations))
+        dests = destinations[order]
+        cts = creation_times[order]
+        ids = ids[order]
+        count = len(order)
+        head = np.empty(count, dtype=bool)
+        head[0] = True
+        np.not_equal(dests[1:], dests[:-1], out=head[1:])
+        #: Distinct destinations (ascending), where each segment starts,
+        #: and the newest creation time of each (its segment's last entry).
+        self.segment_start = np.flatnonzero(head)
+        self.destinations = dests[self.segment_start]
+        tail = np.empty_like(head)
+        tail[:-1] = head[1:]
+        tail[-1] = True
+        self.newest = cts[tail]
+        #: Every buffered creation time, ascending (duplicates kept).
+        self.creation_times = np.sort(cts)
+        self.radix = 2 * count + 1
+        # Sizes are exact integers, so float64 prefix sums stay exact.
+        self.prefix = np.zeros(count + 1, dtype=np.float64)
+        np.add.accumulate(sizes[order], out=self.prefix[1:])
+        if (
+            np.maximum.reduce(ids.view(np.uint64)) >= _ID_ENCODING_LIMIT
+            or len(self.destinations) * self.radix >= _RANK_ENCODING_LIMIT
         ):
-            return None
-        unique_cts = self._np_unique_cts
-        ranks = np.searchsorted(unique_cts, creation_times, side="left")
-        present = ranks < len(unique_cts)
-        exact = np.zeros(len(ranks), dtype=bool)
-        exact[present] = unique_cts[ranks[present]] == creation_times[present]
-        # A creation time absent from the queue encodes as (rank << 32):
-        # it sorts before every stored key of rank >= rank, exactly where
-        # bisect_left would place the (ct, id) tuple.
-        query_keys = (ranks.astype(np.int64) << 32) | np.where(exact, packet_ids, 0)
-        positions = np.searchsorted(self._np_keys, query_keys, side="left")
-        return self._np_prefix[positions]
+            self.keys: Optional[np.ndarray] = None
+            return
+        dest_rank = np.searchsorted(self.destinations, dests)
+        self.keys = ((dest_rank * self.radix + self._ct_rank(cts)) << 32) | ids
+
+    def _ct_rank(self, creation_times: np.ndarray) -> np.ndarray:
+        stored = self.creation_times
+        return np.searchsorted(stored, creation_times) + np.searchsorted(
+            stored, creation_times, side="right"
+        )
+
+    def bytes_before(
+        self, dest_rank: np.ndarray, creation_times: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray:
+        """Bytes served before each query in its destination's segment.
+
+        Queries need not be present in the buffer: a query whose creation
+        time is absent has a rank no stored key shares, so its id cannot
+        reorder it against stored keys.  Requires :attr:`keys` and query
+        ids in ``[0, 2**32)``.
+        """
+        ranks = dest_rank * self.radix + self._ct_rank(creation_times)
+        positions = np.searchsorted(self.keys, (ranks << 32) | ids)
+        return self.prefix[positions] - self.prefix[self.segment_start[dest_rank]]
 
 
 class NodeBuffer:
@@ -205,6 +232,7 @@ class NodeBuffer:
         self._rows_snapshot: Optional[np.ndarray] = None
         self._dest_snapshot: Optional[Tuple[int, ...]] = None
         self._for_destination: Dict[int, Tuple[Packet, ...]] = {}
+        self._mirror: Optional[_ServeOrderMirror] = None
 
     @classmethod
     def reset_snapshot_stats(cls) -> None:
@@ -229,6 +257,7 @@ class NodeBuffer:
         store.register_all(self._packets.values())
         self._store = store
         self._rows_snapshot = None
+        self._mirror = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -300,6 +329,7 @@ class NodeBuffer:
         self._snapshot = None
         self._rows_snapshot = None
         self._dest_snapshot = None
+        self._mirror = None
         if self._for_destination:
             self._for_destination.clear()
 
@@ -423,6 +453,20 @@ class NodeBuffer:
             return self._bytes_ahead_scan(packet, now)
         return queue.bytes_before((packet.creation_time, packet.packet_id))
 
+    def _serve_order_mirror(self) -> _ServeOrderMirror:
+        """The buffer-wide serve-order mirror (cached until the next mutation)."""
+        mirror = self._mirror
+        if mirror is None:
+            store = self.store
+            rows = self.snapshot_rows()
+            mirror = self._mirror = _ServeOrderMirror(
+                store.destinations[rows],
+                store.creation_times[rows],
+                store.ids[rows],
+                store.sizes[rows],
+            )
+        return mirror
+
     def bytes_ahead_batch(
         self, packets: Sequence[Packet], rows: np.ndarray, now: float
     ) -> np.ndarray:
@@ -430,54 +474,45 @@ class NodeBuffer:
 
         *rows* are the packets' rows in :attr:`store`; the queried packets
         need not reside in this buffer (the kernel serves "what would the
-        queue position be at this holder" questions for peers too).  One
-        vectorised ``searchsorted`` per distinct destination replaces the
-        per-packet binary searches; the degenerate age-clamping cases fall
-        back to the same reference scan the scalar path uses, element by
-        element, so results are bit-identical.
+        queue position be at this holder" questions for peers too).  The
+        buffer-wide :class:`_ServeOrderMirror` answers the whole batch in a
+        fixed number of numpy calls, whatever the number of destinations.
+        The degenerate age-clamping cases fall back to the same reference
+        scan the scalar path uses, and ids the mirror cannot encode to the
+        list index, element by element, so results are bit-identical.
         """
-        store = self.store
         count = len(rows)
-        out = np.zeros(count, dtype=np.float64)
-        if not count or not self._by_destination:
-            return out
+        if not count or not self._packets:
+            return np.zeros(count, dtype=np.float64)
+        store = self.store
+        mirror = self._serve_order_mirror()
         dests = store.destinations[rows]
         cts = store.creation_times[rows]
         ids = store.ids[rows]
-        order = np.argsort(dests, kind="stable")
-        sorted_dests = dests[order]
-        boundaries = np.nonzero(np.diff(sorted_dests))[0] + 1
-        start = 0
-        for end in [*boundaries.tolist(), count]:
-            idx = order[start:end]
-            destination = int(sorted_dests[start])
-            start = end
-            queue = self._by_destination.get(destination)
-            if queue is None or not queue.keys:
-                continue
-            if queue.max_creation_time > now:
-                for i in idx.tolist():
-                    out[i] = self._bytes_ahead_scan(packets[i], now)
-                continue
-            sub_cts = cts[idx]
-            late = sub_cts > now
-            if late.any():
-                regular = idx[~late]
-                for i in idx[late].tolist():
-                    out[i] = self._bytes_ahead_scan(packets[i], now)
-            else:
-                regular = idx
-            if not len(regular):
-                continue
-            batch = queue.bytes_before_batch(cts[regular], ids[regular])
-            if batch is None:
-                for i in regular.tolist():
-                    packet = packets[i]
-                    out[i] = queue.bytes_before(
-                        (packet.creation_time, packet.packet_id)
-                    )
-            else:
-                out[regular] = batch
+        dest_rank = np.searchsorted(mirror.destinations, dests)
+        clipped = np.minimum(dest_rank, len(mirror.destinations) - 1)
+        held = mirror.destinations[clipped] == dests
+        late = (cts > now) | (mirror.newest[clipped] > now)
+        regular = held & ~late
+        encoded = regular & (ids.view(np.uint64) < np.uint64(_ID_ENCODING_LIMIT))
+        if mirror.keys is None:
+            encoded[:] = False
+        if np.count_nonzero(encoded) == count:
+            # Common case: every query is an encodable, on-time packet of a
+            # held destination, so the whole batch is one kernel pass.
+            return mirror.bytes_before(dest_rank, cts, ids)
+        out = np.zeros(count, dtype=np.float64)
+        for i in np.flatnonzero(held & late).tolist():
+            out[i] = self._bytes_ahead_scan(packets[i], now)
+        if np.count_nonzero(encoded):
+            out[encoded] = mirror.bytes_before(
+                dest_rank[encoded], cts[encoded], ids[encoded]
+            )
+        for i in np.flatnonzero(regular & ~encoded).tolist():
+            packet = packets[i]
+            out[i] = self._by_destination[packet.destination].bytes_before(
+                (packet.creation_time, packet.packet_id)
+            )
         return out
 
     def _bytes_ahead_scan(self, packet: Packet, now: float) -> int:
@@ -530,6 +565,8 @@ class NodeBuffer:
                         f"destination {destination} index entry for packet "
                         f"{packet_id} disagrees with the stored packet"
                     )
+        if self._mirror is not None:
+            self._check_mirror(self._mirror)
         if self._store is not None:
             for packet in self._packets.values():
                 if packet.packet_id not in self._store:
@@ -544,3 +581,25 @@ class NodeBuffer:
                         f"store row {row} disagrees with buffered packet "
                         f"{packet.packet_id}"
                     )
+
+    def _check_mirror(self, mirror: _ServeOrderMirror) -> None:
+        """The serve-order mirror must agree with the per-destination index."""
+        if mirror.keys is not None and np.any(np.diff(mirror.keys) <= 0):
+            raise BufferError_("serve-order mirror keys are not strictly sorted")
+        destinations = sorted(self._by_destination)
+        if mirror.destinations.tolist() != destinations:
+            raise BufferError_("serve-order mirror destinations drift from the index")
+        ends = [*mirror.segment_start[1:].tolist(), len(mirror.prefix) - 1]
+        for rank, destination in enumerate(destinations):
+            queue = self._by_destination[destination]
+            start, end = int(mirror.segment_start[rank]), ends[rank]
+            total = int(mirror.prefix[end] - mirror.prefix[start])
+            if (
+                end - start != len(queue)
+                or total != sum(queue.sizes)
+                or mirror.newest[rank] != queue.max_creation_time
+            ):
+                raise BufferError_(
+                    f"serve-order mirror segment of destination {destination} "
+                    f"disagrees with the index"
+                )

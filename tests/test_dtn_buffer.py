@@ -188,3 +188,25 @@ class TestDestinationIndex:
         buffer._used += 1  # corrupt on purpose
         with pytest.raises(BufferError_):
             buffer.check_integrity()
+
+    def test_check_integrity_detects_serve_order_mirror_drift(self, factory):
+        buffer = NodeBuffer()
+        packets = [
+            factory.create(source=0, destination=1 + i % 3, size=100 + i, creation_time=float(i))
+            for i in range(6)
+        ]
+        for packet in packets:
+            buffer.add(packet)
+        buffer.bytes_ahead_batch(packets, buffer.store.rows_for(packets), now=50.0)
+        mirror = buffer._mirror
+        assert mirror is not None
+        buffer.check_integrity()  # a freshly built mirror agrees
+
+        mirror.prefix[-1] += 1  # last segment's byte total drifts
+        with pytest.raises(BufferError_, match="segment"):
+            buffer.check_integrity()
+        mirror.prefix[-1] -= 1
+
+        mirror.keys[[0, 1]] = mirror.keys[[1, 0]]
+        with pytest.raises(BufferError_, match="sorted"):
+            buffer.check_integrity()

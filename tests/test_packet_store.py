@@ -136,6 +136,82 @@ def test_bytes_ahead_batch_matches_scalar(ops, now):
     np.testing.assert_array_equal(batch, scalar)
 
 
+# Times on a quarter-second grid: ``now - creation_time`` is then exact,
+# so the reference scan's age order is the static (creation_time, id)
+# order.  Arbitrary floats can round two distinct creation times to one
+# age, which the scan breaks by id and the serve-order index by time.
+_grid_times = st.integers(min_value=0, max_value=480).map(lambda q: q / 4.0)
+_stored_packets = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=4),  # destination
+        st.integers(min_value=1, max_value=2000),  # size
+        _grid_times,  # creation time
+    ),
+    min_size=1,
+    max_size=40,
+)
+_foreign_queries = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),  # 0, 5 and 6 have no queue
+        _grid_times,
+        st.booleans(),  # id at or above 2**32
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stored=_stored_packets,
+    removals=st.lists(st.integers(min_value=0, max_value=10_000), max_size=10),
+    queries=_foreign_queries,
+    now=_grid_times,
+    large_stored_ids=st.booleans(),
+)
+def test_bytes_ahead_batch_matches_reference_scan_for_peer_queries(
+    stored, removals, queries, now, large_stored_ids
+):
+    """Holder-side queries: the batch equals the reference scan per element.
+
+    ``_direct_delays_for_holder`` asks a peer's buffer where packets it
+    does not hold would queue.  The queries mix the buffer's own packets
+    with absent packets, absent creation times, destinations without a
+    queue, creation times after ``now``, and ids at or above ``2**32``
+    (in the queries, and optionally across the stored ids too).
+    """
+    store = PacketStore()
+    buffer = NodeBuffer()
+    buffer.attach_store(store)
+    factory = PacketFactory(start_id=(1 << 32) - 8 if large_stored_ids else 0)
+    for destination, size, creation_time in stored:
+        buffer.add(
+            factory.create(
+                source=0, destination=destination, size=size, creation_time=creation_time
+            )
+        )
+    for index in removals:
+        ids = buffer.packet_ids
+        if len(ids) > 1:
+            buffer.remove(ids[index % len(ids)])
+    absent = [
+        Packet(
+            packet_id=((1 << 40) if large else 100_000) + offset,
+            source=9,
+            destination=destination,
+            size=1,
+            creation_time=creation_time,
+        )
+        for offset, (destination, creation_time, large) in enumerate(queries)
+    ]
+    packets = [*buffer.packets(), *absent]
+    store.register_all(packets)
+    rows = store.rows_for(packets)
+    batch = buffer.bytes_ahead_batch(packets, rows, now)
+    buffer.check_integrity()  # the mirror the batch built agrees
+    for packet, value in zip(packets, batch.tolist()):
+        assert value == buffer._bytes_ahead_scan(packet, now), packet
+
+
 @settings(max_examples=30, deadline=None)
 @given(ops=operation_sequences)
 def test_rows_survive_removal(ops):
