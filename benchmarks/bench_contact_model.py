@@ -1,17 +1,15 @@
-"""Benchmark gate: the durational contact layer must not tax the hot path.
+"""Benchmark gate: the contact-model option must not tax the default path.
 
-The contact-layer refactor threads a pluggable contact model through the
-simulator.  The default ``instantaneous`` model must remain the PR-2 hot
-path: this gate runs the buffer-constrained RAPID cell of
-``bench_rapid_hotpath`` twice —
+Every contact model runs through the simulator's one contact pipeline;
+the ``instantaneous`` model is its default.  This gate runs the
+buffer-constrained RAPID cell of ``bench_rapid_hotpath`` twice —
 
-1. the **default** path (no options; the simulator's zero-config meeting
-   loop, i.e. the PR-2 hot path as it stands), and
-2. an **explicit** ``contact_model="instantaneous"`` run,
+1. with **default** options (no options at all), and
+2. with the **explicit** spelling ``contact_model="instantaneous"``,
 
-asserts the two outputs are byte-identical and the explicit spelling is
-at most 10% slower (best-of-N wall time, so scheduler noise does not
-flap the gate), then records the cost of the ``durational`` and
+asserts the explicit spelling produces the default's bytes and is at
+most 10% slower (best-of-N wall time, so scheduler noise does not flap
+the gate), then records the cost of the ``durational`` and
 ``interruptible`` models on a DieselNet-style day with real contact
 windows.  Everything lands in
 ``benchmarks/results/BENCH_contact_model.json``.

@@ -13,13 +13,17 @@ contact it enforces the two resource constraints of problem class P5:
 Contact models
 --------------
 
+Every contact, whatever the model, runs through one pipeline: a fault
+and noise preamble, then a :class:`~repro.routing.base.LinkSession`
+that carries the control exchange, direct delivery and replication.
 How a contact's bytes are spread over time is selected by the
 ``contact_model`` option:
 
 * ``instantaneous`` (default) — the paper's Section 3.1 treatment: every
   byte of the opportunity is available at the contact's start instant.
-  This mode is byte-identical to the simulator as it existed before the
-  durational contact layer.
+  The session is *untimed* (pure byte accounting) and is closed at the
+  instant it opens.  This mode is byte-identical to the simulator as it
+  existed before the durational contact layer.
 * ``durational`` — the contact is a window ``[start, end]`` bracketed by
   :class:`~repro.dtn.events.ContactStartEvent` /
   :class:`~repro.dtn.events.ContactEndEvent`.  Bytes stream across the
@@ -44,28 +48,24 @@ nodes that carry no traffic endpoints — *before* any capacity accounting.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, SimulationError
 from ..faults import FaultModel, FaultSchedule
-from ..mobility.schedule import Contact, Meeting, MeetingSchedule
+from ..mobility.schedule import Contact, MeetingSchedule
 from ..observability.decisions import DecisionRecorder
 from ..observability.metrics import MetricsRegistry, metrics_interval_from
 from ..observability.trace import TraceRecorder, TraceSink
 from ..profiling import Profiler, profiling_requested
-from ..routing.base import (
-    LinkSession,
-    ProtocolContext,
-    ProtocolFactory,
-    RoutingProtocol,
-    TransferBudget,
-)
+from ..routing.base import LinkSession, ProtocolContext, ProtocolFactory, RoutingProtocol
 from .events import (
     ContactEndEvent,
     ContactStartEvent,
     EndOfSimulationEvent,
+    Event,
     MeetingEvent,
     NodeDownEvent,
     NodeUpEvent,
@@ -94,12 +94,35 @@ CONTACT_MODELS = (
 #: Default probability that an interruptible contact is cut short.
 DEFAULT_INTERRUPT_PROBABILITY = 0.25
 
+#: Every option key the simulator reads; any other key is a typo and is
+#: rejected rather than silently running on defaults.
+SIMULATOR_OPTIONS = (
+    "contact_model",
+    "contact_resume",
+    "contact_interrupt_probability",
+    "result_mode",
+    "streaming_relative_error",
+    "profile",
+    "trace_sink",
+    "decision_sink",
+    "metrics_interval",
+    "fault_model",
+    "fault_schedule",
+)
+
 #: Tolerance for floating-point byte comparisons in the session pipeline.
 _EPS = 1e-9
 
+#: Stand-in for a profiler phase when profiling is off (reusable).
+_NO_PHASE = nullcontext()
+
 
 class _OpenContact:
-    """Live state of one open contact session (durational modes)."""
+    """Live state of one contact session.
+
+    Durational sessions stay registered until their window closes; the
+    instantaneous model builds one, pumps it and closes it at once.
+    """
 
     __slots__ = ("contact", "session", "x", "y")
 
@@ -134,6 +157,12 @@ class Simulator:
         self.seed = seed
         self.noise = noise
         self.options = dict(options or {})
+        unknown = sorted(set(self.options) - set(SIMULATOR_OPTIONS))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown simulator option(s) {', '.join(map(repr, unknown))}; "
+                f"expected keys: {', '.join(SIMULATOR_OPTIONS)}"
+            )
 
         self.contact_model = str(
             self.options.get("contact_model", CONTACT_MODEL_INSTANTANEOUS)
@@ -195,6 +224,10 @@ class Simulator:
         #: inherited by engine worker processes).
         self.profiler: Optional[Profiler] = (
             Profiler() if profiling_requested(self.options) else None
+        )
+        #: Inner-phase timer: ``profiler.phase``, or a no-op when off.
+        self._phase: Callable[[str], object] = (
+            self.profiler.phase if self.profiler is not None else lambda name: _NO_PHASE
         )
         #: Lifecycle-event recorder; ``None`` (zero overhead) unless a
         #: ``trace_sink`` was passed in the options.  Events carry
@@ -372,60 +405,24 @@ class Simulator:
         self.result = result
 
         queue = self._build_events()
-        profiler = self.profiler
-        # One boolean decides whether the loops pay the observability
+        handlers = self._event_handlers()
+        # One boolean decides whether the loop pays the observability
         # tick; with tracing and metrics both off (the default) the only
         # added cost per event is this flag test.
         observe = self.tracer is not None or self.metrics is not None
-        if profiler is None:
+        with self._phase("total"):
             while queue:
                 event = queue.pop()
                 if observe:
                     self._observe_tick(event.time)
-                if isinstance(event, PacketCreationEvent):
-                    self._handle_creation(event.packet, event.time)
-                elif isinstance(event, MeetingEvent):
-                    self._handle_meeting(event.meeting, event.time, event.contact_id)
-                elif isinstance(event, ContactStartEvent):
-                    self._handle_contact_start(event.contact, event.contact_id, event.time)
-                elif isinstance(event, ContactEndEvent):
-                    self._handle_contact_end(event.contact_id, event.time)
-                elif isinstance(event, NodeDownEvent):
-                    self._handle_node_down(event.node_id, event.wipe, event.time)
-                elif isinstance(event, NodeUpEvent):
-                    self._handle_node_up(event.node_id, event.time)
-                elif isinstance(event, EndOfSimulationEvent):
-                    break
-                else:  # pragma: no cover - defensive
-                    raise SimulationError(f"unknown event type: {type(event)!r}")
-        else:
-            with profiler.phase("total"):
-                while queue:
-                    event = queue.pop()
-                    if observe:
-                        self._observe_tick(event.time)
-                    if isinstance(event, PacketCreationEvent):
-                        with profiler.phase("packet_creation"):
-                            self._handle_creation(event.packet, event.time)
-                    elif isinstance(event, MeetingEvent):
-                        self._handle_meeting(event.meeting, event.time, event.contact_id)
-                    elif isinstance(event, ContactStartEvent):
-                        with profiler.phase("contact_session"):
-                            self._handle_contact_start(
-                                event.contact, event.contact_id, event.time
-                            )
-                    elif isinstance(event, ContactEndEvent):
-                        with profiler.phase("contact_session"):
-                            self._handle_contact_end(event.contact_id, event.time)
-                    elif isinstance(event, NodeDownEvent):
-                        self._handle_node_down(event.node_id, event.wipe, event.time)
-                    elif isinstance(event, NodeUpEvent):
-                        self._handle_node_up(event.node_id, event.time)
-                    elif isinstance(event, EndOfSimulationEvent):
+                handler = handlers.get(type(event))
+                if handler is None:
+                    if isinstance(event, EndOfSimulationEvent):
                         break
-                    else:  # pragma: no cover - defensive
-                        raise SimulationError(f"unknown event type: {type(event)!r}")
-            result.timings = profiler.timings()
+                    raise SimulationError(f"unknown event type: {type(event)!r}")
+                handler(event)
+        if self.profiler is not None:
+            result.timings = self.profiler.timings()
 
         # Defensive: close any session whose end event did not fire (all
         # ends are clipped to the horizon, so this is normally a no-op).
@@ -450,6 +447,38 @@ class Simulator:
         for node_id, node in self.nodes.items():
             result.node_counters[node_id] = node.counters
         return result
+
+    def _event_handlers(self) -> Dict[type, Callable[[Event], None]]:
+        """The dispatch table of the event loop, keyed by event type.
+
+        Built per run from the bound handlers, so a handler replaced on
+        the instance before :meth:`run` is the one dispatched.  With
+        profiling on, each entry is timed as one top-level phase.
+        """
+        creation = self._handle_creation
+        contact_open = self._handle_meeting
+        contact_end = self._handle_contact_end
+        node_down = self._handle_node_down
+        node_up = self._handle_node_up
+        handlers: Dict[type, Callable[[Event], None]] = {
+            PacketCreationEvent: lambda e: creation(e.packet, e.time),
+            MeetingEvent: lambda e: contact_open(e.meeting, e.time, e.contact_id),
+            ContactStartEvent: lambda e: contact_open(e.contact, e.time, e.contact_id),
+            ContactEndEvent: lambda e: contact_end(e.contact_id, e.time),
+            NodeDownEvent: lambda e: node_down(e.node_id, e.wipe, e.time),
+            NodeUpEvent: lambda e: node_up(e.node_id, e.time),
+        }
+        profiler = self.profiler
+        if profiler is not None:
+            phases = {
+                PacketCreationEvent: "packet_creation",
+                MeetingEvent: "contact_session",
+                ContactStartEvent: "contact_session",
+                ContactEndEvent: "contact_session",
+            }
+            for kind, name in phases.items():
+                handlers[kind] = profiler.timed(name, handlers[kind])
+        return handlers
 
     # ------------------------------------------------------------------
     # Observability
@@ -655,120 +684,24 @@ class Simulator:
                 if state is not None and state.contact.involves(packet.source):
                     self._pump_contact(state, now)
 
-    def _handle_meeting(self, meeting: Meeting, now: float, contact_id: int = -1) -> None:
-        result = self.result
-        fault_schedule = self._fault_schedule
-        control_lost = False
-        kill_fraction: Optional[float] = None
-        if fault_schedule is not None:
-            # Fault checks come before the noise draw: a contact that
-            # never happens (no-show, down endpoint) consumes no noise
-            # randomness — the fault process has its own stream.
-            if contact_id in fault_schedule.contact_no_shows:
-                result.contact_no_shows += 1
-                return
-            if self._down and (meeting.node_a in self._down or meeting.node_b in self._down):
-                result.contacts_missed_down += 1
-                result.deliveries_missed_down += self._count_missed_deliveries(
-                    meeting.node_a, meeting.node_b
-                ) + self._count_missed_deliveries(meeting.node_b, meeting.node_a)
-                return
-            kill_fraction = fault_schedule.transfer_kills.get(contact_id)
-            control_lost = contact_id in fault_schedule.control_losses
+    def _handle_meeting(self, contact: Contact, now: float, contact_id: int = -1) -> None:
+        """Open one contact: fault and noise preamble, then a link session.
 
-        missed, capacity, _ = self._apply_noise(meeting.capacity)
-        if missed:
-            result.meetings_missed += 1
-            return
-
-        if kill_fraction is not None:
-            # Mid-transfer kill in instantaneous mode: the whole meeting
-            # is one transfer instant, so dying at a fraction of the
-            # contact truncates the transferable bytes to that fraction.
-            if not math.isinf(capacity):
-                capacity *= kill_fraction
-            result.transfers_killed += 1
-
-        if meeting.node_a not in self.protocols or meeting.node_b not in self.protocols:
-            # Meetings of buses that carry no traffic endpoints are still
-            # part of the schedule; register capacity and move on.
-            self._register_capacity(capacity)
-            result.meetings_processed += 1
-            return
-
-        result.meetings_processed += 1
-        self._register_capacity(capacity)
-
-        x = self.protocols[meeting.node_a]
-        y = self.protocols[meeting.node_b]
-        x.node.counters.meetings += 1
-        y.node.counters.meetings += 1
-
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.contact_open(meeting.node_a, meeting.node_b, now, capacity)
-
-        x.on_meeting_start(y, now)
-        y.on_meeting_start(x, now)
-
-        budget = TransferBudget(capacity=capacity)
-
-        profiler = self.profiler
-        if profiler is None:
-            # Step 1: control exchange (acks + protocol metadata), both
-            # ways — suppressed entirely on a metadata-loss contact, so
-            # both peers keep routing on stale acks and delay state.
-            if not control_lost:
-                x.exchange_control(y, now, budget)
-                y.exchange_control(x, now, budget)
-
-            # Step 2: direct delivery, both ways.
-            self._direct_delivery(x, y, now, budget)
-            self._direct_delivery(y, x, now, budget)
-
-            # Step 3: replication, alternating directions.
-            self._replicate(x, y, now, budget)
-        else:
-            if not control_lost:
-                with profiler.phase("control_exchange"):
-                    x.exchange_control(y, now, budget)
-                    y.exchange_control(x, now, budget)
-            with profiler.phase("direct_delivery"):
-                self._direct_delivery(x, y, now, budget)
-                self._direct_delivery(y, x, now, budget)
-            with profiler.phase("replication"):
-                self._replicate(x, y, now, budget)
-        if control_lost:
-            result.control_exchanges_lost += 1
-
-        result.data_bytes += budget.data_bytes
-        result.metadata_bytes += budget.metadata_bytes
-        x.node.counters.metadata_bytes_sent += budget.metadata_bytes / 2.0
-        y.node.counters.metadata_bytes_sent += budget.metadata_bytes / 2.0
-
-        if tracer is not None:
-            tracer.contact_close(
-                meeting.node_a,
-                meeting.node_b,
-                now,
-                budget.data_bytes,
-                budget.metadata_bytes,
-                interrupted=kill_fraction is not None,
-            )
-
-    # ------------------------------------------------------------------
-    # Contact-session pipeline (durational modes)
-    # ------------------------------------------------------------------
-    def _handle_contact_start(self, contact: Contact, contact_id: int, now: float) -> None:
-        """Open a contact session: faults, noise, interruption draw, control, pump."""
+        The only contact-open routine, for ``MeetingEvent`` and
+        ``ContactStartEvent`` alike.  Under the instantaneous model the
+        session is untimed (no contact window to meter) and is pumped and
+        closed at once; under the durational models it stays open in
+        ``_open_contacts`` until its ``ContactEndEvent``.
+        """
         result = self.result
         fault_schedule = self._fault_schedule
         control_lost = False
         kill_fraction: Optional[float] = None
         if fault_schedule is not None:
             # Fault checks precede the noise and interruption draws: a
-            # contact that never opens consumes no randomness from the
-            # other streams (the fault process is precomputed).
+            # contact that never happens (no-show, down endpoint) consumes
+            # no randomness from the other streams (the fault process is
+            # precomputed).
             if contact_id in fault_schedule.contact_no_shows:
                 result.contact_no_shows += 1
                 return
@@ -786,29 +719,40 @@ class Simulator:
             result.meetings_missed += 1
             return
 
-        # Interruption draw (interruptible model): the contact dies at a
-        # uniform fraction of its window with the configured probability.
+        timed = self.contact_model != CONTACT_MODEL_INSTANTANEOUS
         cutoff = contact.end
         interrupted = False
-        if (
-            self.contact_model == CONTACT_MODEL_INTERRUPTIBLE
-            and self.interrupt_probability > 0.0
-            and contact.duration > 0.0
-            and float(self._contact_rng.random()) < self.interrupt_probability
-        ):
-            fraction = float(self._contact_rng.uniform(0.05, 0.95))
-            cutoff = contact.start + contact.duration * fraction
-            interrupted = True
-
-        if kill_fraction is not None and contact.duration > 0.0:
-            # Mid-transfer kill (fault process): the session dies at the
-            # drawn fraction of the window — possibly earlier than the
-            # interruptible model's own draw; the earlier cutoff binds.
-            kill_cutoff = contact.start + contact.duration * kill_fraction
-            if kill_cutoff < cutoff:
-                cutoff = kill_cutoff
-            interrupted = True
-            result.transfers_killed += 1
+        if not timed:
+            if kill_fraction is not None:
+                # Mid-transfer kill in instantaneous mode: the whole meeting
+                # is one transfer instant, so dying at a fraction of the
+                # contact truncates the transferable bytes to that fraction.
+                if not math.isinf(capacity):
+                    capacity *= kill_fraction
+                interrupted = True
+                result.transfers_killed += 1
+        else:
+            # Interruption draw (interruptible model): the contact dies at
+            # a uniform fraction of its window with the configured
+            # probability.
+            if (
+                self.contact_model == CONTACT_MODEL_INTERRUPTIBLE
+                and self.interrupt_probability > 0.0
+                and contact.duration > 0.0
+                and float(self._contact_rng.random()) < self.interrupt_probability
+            ):
+                fraction = float(self._contact_rng.uniform(0.05, 0.95))
+                cutoff = contact.start + contact.duration * fraction
+                interrupted = True
+            if kill_fraction is not None and contact.duration > 0.0:
+                # Mid-transfer kill (fault process): the session dies at the
+                # drawn fraction of the window — possibly earlier than the
+                # interruptible model's own draw; the earlier cutoff binds.
+                kill_cutoff = contact.start + contact.duration * kill_fraction
+                if kill_cutoff < cutoff:
+                    cutoff = kill_cutoff
+                interrupted = True
+                result.transfers_killed += 1
 
         result.meetings_processed += 1
         # The utilization denominator counts the capacity the channel can
@@ -816,7 +760,7 @@ class Simulator:
         # the bytes streamable before the cutoff are registered (the same
         # denominator-honesty rule that excludes infinite capacities).
         achievable = capacity
-        if interrupted and not math.isinf(capacity):
+        if timed and interrupted and not math.isinf(capacity):
             achievable = min(
                 capacity,
                 scale * contact.profile.bytes_within(contact, cutoff - contact.start),
@@ -824,6 +768,8 @@ class Simulator:
         self._register_capacity(achievable)
 
         if contact.node_a not in self.protocols or contact.node_b not in self.protocols:
+            # Contacts of buses that carry no traffic endpoints are still
+            # part of the schedule: capacity registered, nothing to run.
             return
 
         x = self.protocols[contact.node_a]
@@ -835,9 +781,12 @@ class Simulator:
         if tracer is not None:
             tracer.contact_open(contact.node_a, contact.node_b, now, capacity)
 
+        x.on_meeting_start(y, now)
+        y.on_meeting_start(x, now)
+
         session = LinkSession(
             capacity=capacity,
-            contact=contact,
+            contact=contact if timed else None,
             opened_at=now,
             cutoff=cutoff,
             capacity_scale=scale,
@@ -845,20 +794,21 @@ class Simulator:
             interrupted=interrupted,
         )
 
-        x.on_session_open(y, session, now)
-        y.on_session_open(x, session, now)
-
         if control_lost:
             # Metadata-loss fault: the control exchange never happens, so
             # acks and delay metadata stay stale on both sides.
             result.control_exchanges_lost += 1
         else:
-            x.exchange_control(y, now, session)
-            y.exchange_control(x, now, session)
+            with self._phase("control_exchange"):
+                x.exchange_control(y, now, session)
+                y.exchange_control(x, now, session)
 
         state = _OpenContact(contact, session, x, y)
-        self._open_contacts[contact_id] = state
         self._pump_contact(state, now)
+        if timed:
+            self._open_contacts[contact_id] = state
+        else:
+            self._close_contact(state, now)
 
     def _handle_contact_end(self, contact_id: int, now: float) -> None:
         state = self._open_contacts.pop(contact_id, None)
@@ -868,14 +818,16 @@ class Simulator:
         self._close_contact(state, now)
 
     def _close_contact(self, state: _OpenContact, now: float) -> None:
-        """Finalize a session: byte accounting, interruption tally, hooks."""
+        """Finalize a session: byte accounting, interruption tally, trace."""
         result = self.result
         session = state.session
         result.data_bytes += session.data_bytes
         result.metadata_bytes += session.metadata_bytes
         state.x.node.counters.metadata_bytes_sent += session.metadata_bytes / 2.0
         state.y.node.counters.metadata_bytes_sent += session.metadata_bytes / 2.0
-        if session.interrupted:
+        # An instantaneous kill truncates the byte budget rather than a
+        # window: it counts as a killed transfer, not an interrupted contact.
+        if session.interrupted and session.contact is not None:
             result.contacts_interrupted += 1
         tracer = self.tracer
         if tracer is not None:
@@ -887,24 +839,24 @@ class Simulator:
                 session.metadata_bytes,
                 interrupted=session.interrupted,
             )
-        state.x.on_session_close(state.y, session, now)
-        state.y.on_session_close(state.x, session, now)
 
     def _pump_contact(self, state: _OpenContact, now: float) -> None:
         """Run the data phases of an open session at event time *now*.
 
-        Called once when the session opens and again for every packet
-        created at a participant while the window is open.  The session's
-        stream clock serialises the transfers, so repeated pumping never
-        double-spends window time.
+        Called once when the session opens and, for durational sessions,
+        again for every packet created at a participant while the window
+        is open.  The session's stream clock serialises the transfers, so
+        repeated pumping never double-spends window time.
         """
         session = state.session
         if session.transfer_cut:
             return
         x, y = state.x, state.y
-        self._direct_delivery_session(state, x, y, now)
-        self._direct_delivery_session(state, y, x, now)
-        self._replicate_session(state, now)
+        with self._phase("direct_delivery"):
+            self._direct_delivery(session, x, y, now)
+            self._direct_delivery(session, y, x, now)
+        with self._phase("replication"):
+            self._replicate(state, now)
 
     # ------------------------------------------------------------------
     # Resume bookkeeping (interruptible model with contact_resume)
@@ -918,20 +870,19 @@ class Simulator:
         self, sender: RoutingProtocol, receiver: RoutingProtocol, packet: Packet
     ) -> float:
         """Bytes still to send, net of resumable partial progress."""
+        if not self._partial_progress:
+            return float(packet.size)
         done = self._partial_progress.get(self._progress_key(sender, receiver, packet), 0.0)
         return max(0.0, float(packet.size) - done)
-
-    def _finish_transfer(
-        self, sender: RoutingProtocol, receiver: RoutingProtocol, packet: Packet
-    ) -> bool:
-        """Clear resumable progress; return True when progress existed."""
-        return self._partial_progress.pop(self._progress_key(sender, receiver, packet), None) is not None
 
     def _note_resumed(
         self, sender: RoutingProtocol, receiver: RoutingProtocol, packet: Packet, now: float
     ) -> None:
-        """Account (and trace) a transfer completed from resumed progress."""
-        if self._finish_transfer(sender, receiver, packet):
+        """Clear resumable progress; account (and trace) a resumed completion."""
+        if not self._partial_progress:
+            return
+        key = self._progress_key(sender, receiver, packet)
+        if self._partial_progress.pop(key, None) is not None:
             self.result.transfers_resumed += 1
             tracer = self.tracer
             if tracer is not None:
@@ -939,21 +890,25 @@ class Simulator:
 
     def _interrupt_transfer(
         self,
-        state: _OpenContact,
+        session: LinkSession,
         sender: RoutingProtocol,
         receiver: RoutingProtocol,
         packet: Packet,
         remaining_size: float,
         now: float,
     ) -> None:
-        """Cut a transfer mid-flight: charge partial bytes, roll back.
+        """Start a transfer that cannot finish in time and cut it at the cutoff.
 
-        The partial bytes crossed the link but carry no committed replica.
-        With resume enabled the progress is remembered for the next
-        contact of the same directed pair; otherwise the bytes are wasted
-        capacity (the rollback of the aborted transfer).
+        Called for a transfer the window cannot complete.  It starts only
+        when the byte budget would allow it and the window still has
+        bytes to stream; the partial bytes then cross the link but carry
+        no committed replica.  With resume enabled the progress is
+        remembered for the next contact of the same directed pair;
+        otherwise the bytes are wasted capacity (the rollback of the
+        aborted transfer).
         """
-        session = state.session
+        if not (session.can_send(remaining_size) and session.sendable_bytes(now) > _EPS):
+            return
         tracer = self.tracer
         if tracer is not None:
             tracer.transfer_start(
@@ -969,37 +924,44 @@ class Simulator:
             result.partial_bytes_wasted += sent
         if tracer is not None:
             tracer.transfer_interrupt(packet, sender.node_id, receiver.node_id, now, sent)
-        sender.on_transfer_interrupted(packet, receiver, now, sent)
 
     # ------------------------------------------------------------------
     # Session data phases
     # ------------------------------------------------------------------
-    def _direct_delivery_session(
-        self, state: _OpenContact, sender: RoutingProtocol, receiver: RoutingProtocol, now: float
+    def _transmit(
+        self,
+        session: LinkSession,
+        sender: RoutingProtocol,
+        receiver: RoutingProtocol,
+        packet: Packet,
+        size: float,
+        now: float,
+    ) -> float:
+        """Stream one whole transfer on *session*; return its finish time.
+
+        Only sessions with a contact window emit ``transfer_start``: an
+        instantaneous contact has no streaming phase to decompose.
+        """
+        tracer = self.tracer
+        if tracer is not None and session.contact is not None:
+            tracer.transfer_start(packet, sender.node_id, receiver.node_id, now, size)
+        return session.transmit(size, now)[1]
+
+    def _direct_delivery(
+        self, session: LinkSession, sender: RoutingProtocol, receiver: RoutingProtocol, now: float
     ) -> None:
-        session = state.session
         for packet in sender.direct_delivery_order(receiver.node_id, now):
             if packet.packet_id not in sender.buffer:
                 continue
             remaining_size = self._remaining_size(sender, receiver, packet)
             if not session.can_complete(remaining_size, now):
-                if session.can_send(remaining_size) and session.sendable_bytes(now) > _EPS:
-                    # The byte budget would allow it but the window does
-                    # not: the transfer starts and is cut at the cutoff.
-                    self._interrupt_transfer(
-                        state, sender, receiver, packet, remaining_size, now
-                    )
+                self._interrupt_transfer(session, sender, receiver, packet, remaining_size, now)
                 break
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.transfer_start(
-                    packet, sender.node_id, receiver.node_id, now, remaining_size
-                )
-            sent, finish, _ = session.transmit(remaining_size, now)
+            finish = self._transmit(session, sender, receiver, packet, remaining_size, now)
             self._note_resumed(sender, receiver, packet, finish)
             self._record_delivery(packet, sender, receiver, finish)
 
-    def _replicate_session(self, state: _OpenContact, now: float) -> None:
+    def _replicate(self, state: _OpenContact, now: float) -> None:
         x, y = state.x, state.y
         directions: List[Tuple[RoutingProtocol, RoutingProtocol]] = [(x, y), (y, x)]
         generators = [
@@ -1015,15 +977,15 @@ class Simulator:
                 idle_turns += 1
                 continue
             sender, receiver = directions[turn]
-            sent = self._send_one_session(
-                state, sender, receiver, generators[turn], now, active, turn
+            sent = self._send_one(
+                state.session, sender, receiver, generators[turn], now, active, turn
             )
             idle_turns = 0 if sent else idle_turns + 1
             turn = 1 - turn
 
-    def _send_one_session(
+    def _send_one(
         self,
-        state: _OpenContact,
+        session: LinkSession,
         sender: RoutingProtocol,
         receiver: RoutingProtocol,
         generator,
@@ -1032,7 +994,6 @@ class Simulator:
         turn: int,
     ) -> bool:
         """Pull candidates until one replica streams fully; return success."""
-        session = state.session
         profiler = self.profiler
         for packet in generator:
             if profiler is not None:
@@ -1042,60 +1003,24 @@ class Simulator:
             if packet.packet_id in receiver.buffer:
                 continue
             remaining_size = self._remaining_size(sender, receiver, packet)
-            fits_budget = session.can_send(remaining_size)
-            fits_window = session.can_complete(remaining_size, now)
+            if not session.can_complete(remaining_size, now):
+                self._interrupt_transfer(session, sender, receiver, packet, remaining_size, now)
+                active[turn] = False
+                return False
             if packet.destination == receiver.node_id:
                 # Destined to the peer: deliver it now rather than replicate.
-                if fits_window:
-                    tracer = self.tracer
-                    if tracer is not None:
-                        tracer.transfer_start(
-                            packet, sender.node_id, receiver.node_id, now, remaining_size
-                        )
-                    sent, finish, _ = session.transmit(remaining_size, now)
-                    self._note_resumed(sender, receiver, packet, finish)
-                    self._record_delivery(packet, sender, receiver, finish)
-                    return True
-                if fits_budget and session.sendable_bytes(now) > _EPS:
-                    self._interrupt_transfer(
-                        state, sender, receiver, packet, remaining_size, now
-                    )
-                active[turn] = False
-                return False
-            if not fits_window:
-                if fits_budget and session.sendable_bytes(now) > _EPS:
-                    self._interrupt_transfer(
-                        state, sender, receiver, packet, remaining_size, now
-                    )
-                active[turn] = False
-                return False
+                finish = self._transmit(session, sender, receiver, packet, remaining_size, now)
+                self._note_resumed(sender, receiver, packet, finish)
+                self._record_delivery(packet, sender, receiver, finish)
+                return True
             if receiver.accept_replica(packet, sender, now):
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.transfer_start(
-                        packet, sender.node_id, receiver.node_id, now, remaining_size
-                    )
-                session.transmit(remaining_size, now)
+                self._transmit(session, sender, receiver, packet, remaining_size, now)
                 self._note_resumed(sender, receiver, packet, now)
                 self._register_replication(packet, sender, receiver, now)
                 return True
             # Storage refusal: try the next candidate.
         active[turn] = False
         return False
-
-    # ------------------------------------------------------------------
-    # Meeting phases (instantaneous model)
-    # ------------------------------------------------------------------
-    def _direct_delivery(
-        self, sender: RoutingProtocol, receiver: RoutingProtocol, now: float, budget: TransferBudget
-    ) -> None:
-        for packet in sender.direct_delivery_order(receiver.node_id, now):
-            if packet.packet_id not in sender.buffer:
-                continue
-            if not budget.can_send(packet.size):
-                break
-            budget.charge_data(packet.size)
-            self._record_delivery(packet, sender, receiver, now)
 
     def _record_delivery(
         self,
@@ -1132,66 +1057,6 @@ class Simulator:
         # Both participants learn of the delivery immediately.
         sender.on_delivery(packet, now)
         receiver.on_delivery(packet, now)
-
-    def _replicate(
-        self, x: RoutingProtocol, y: RoutingProtocol, now: float, budget: TransferBudget
-    ) -> None:
-        directions: List[Tuple[RoutingProtocol, RoutingProtocol]] = [(x, y), (y, x)]
-        generators = [
-            x.replication_candidates(y, now),
-            y.replication_candidates(x, now),
-        ]
-        active = [True, True]
-        turn = 0
-        idle_turns = 0
-        while any(active) and idle_turns < 2:
-            if not active[turn]:
-                turn = 1 - turn
-                idle_turns += 1
-                continue
-            sender, receiver = directions[turn]
-            sent = self._send_one(sender, receiver, generators[turn], now, budget, active, turn)
-            idle_turns = 0 if sent else idle_turns + 1
-            turn = 1 - turn
-
-    def _send_one(
-        self,
-        sender: RoutingProtocol,
-        receiver: RoutingProtocol,
-        generator,
-        now: float,
-        budget: TransferBudget,
-        active: List[bool],
-        turn: int,
-    ) -> bool:
-        """Pull candidates until one replica is transferred; return success."""
-        profiler = self.profiler
-        for packet in generator:
-            if profiler is not None:
-                profiler.count("candidates_pulled")
-            if packet.packet_id not in sender.buffer:
-                continue
-            if packet.packet_id in receiver.buffer:
-                continue
-            if packet.destination == receiver.node_id:
-                # Destined to the peer: handled by direct delivery if the
-                # budget allows; try to deliver it now rather than replicate.
-                if budget.can_send(packet.size):
-                    budget.charge_data(packet.size)
-                    self._record_delivery(packet, sender, receiver, now)
-                    return True
-                active[turn] = False
-                return False
-            if not budget.can_send(packet.size):
-                active[turn] = False
-                return False
-            if receiver.accept_replica(packet, sender, now):
-                budget.charge_data(packet.size)
-                self._register_replication(packet, sender, receiver, now)
-                return True
-            # Storage refusal: try the next candidate.
-        active[turn] = False
-        return False
 
     def _register_replication(
         self, packet: Packet, sender: RoutingProtocol, receiver: RoutingProtocol, now: float

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 __all__ = [
     "ENV_PROFILE",
@@ -100,6 +100,15 @@ class Profiler:
         phase name correct (each holds its own start timestamp).
         """
         return _Phase(self, name)
+
+    def timed(self, name: str, func: Callable[..., Any]) -> Callable[..., Any]:
+        """Wrap *func* so every call is timed as one entry into phase *name*."""
+
+        def wrapper(*args: Any) -> Any:
+            with _Phase(self, name):
+                return func(*args)
+
+        return wrapper
 
     def add_time(self, name: str, seconds: float) -> None:
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds

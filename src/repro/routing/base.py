@@ -102,10 +102,10 @@ class TransferBudget:
 
 @dataclass
 class LinkSession(TransferBudget):
-    """Byte *and time* accounting for one durational contact session.
+    """Byte *and time* accounting for one contact session.
 
     The generalisation of :class:`TransferBudget` used by the simulator's
-    contact pipeline: besides the byte budget it meters transfers against
+    single contact pipeline: besides the byte budget it meters transfers against
     the elapsed contact time through a shared serial stream whose
     bandwidth profile is the contact's :class:`~repro.mobility.schedule.LinkModel`
     (constant rate by default).  The stream opens at ``opened_at`` and
@@ -119,8 +119,10 @@ class LinkSession(TransferBudget):
     Protocols keep talking to the :class:`TransferBudget` interface
     (``remaining``, ``charge_metadata``); the session transparently makes
     metadata consume stream time too.  A session without a contact (or a
-    zero-duration contact) degenerates to pure byte accounting, i.e.
-    classic :class:`TransferBudget` behaviour.
+    zero-duration contact) is *untimed*: it degenerates to pure byte
+    accounting, i.e. classic :class:`TransferBudget` behaviour.  The
+    instantaneous contact model runs every contact as such a session,
+    closed at the instant it opens.
     """
 
     contact: Optional["Contact"] = None
@@ -187,7 +189,13 @@ class LinkSession(TransferBudget):
         return super().can_send(num_bytes)
 
     def can_complete(self, num_bytes: float, now: float) -> bool:
-        """Would a *num_bytes* transfer started at *now* finish in time?"""
+        """Would a *num_bytes* transfer started at *now* finish in time?
+
+        An untimed session has no window to finish in, so the answer is
+        exactly the byte-budget check :meth:`can_send`.
+        """
+        if not self._timed():
+            return self.can_send(num_bytes)
         return num_bytes <= self.sendable_bytes(now) + _EPS
 
     def transmit(self, num_bytes: float, now: float) -> Tuple[float, float, bool]:
@@ -333,32 +341,11 @@ class RoutingProtocol(abc.ABC):
         return inserted
 
     def on_meeting_start(self, peer: "RoutingProtocol", now: float) -> None:
-        """Called when a meeting with *peer* begins (before any exchange)."""
+        """Called when a contact with *peer* opens (before any exchange).
 
-    # ------------------------------------------------------------------
-    # Contact-session hooks (durational modes)
-    # ------------------------------------------------------------------
-    # Every protocol adopts these; the defaults route session opening to
-    # the historic per-meeting hook so protocol state (meeting-time
-    # estimators, delivery predictabilities, ...) updates once per contact
-    # regardless of the contact model in force.
-
-    def on_session_open(self, peer: "RoutingProtocol", session: "LinkSession", now: float) -> None:
-        """A contact session with *peer* opened (before any exchange)."""
-        self.on_meeting_start(peer, now)
-
-    def on_session_close(self, peer: "RoutingProtocol", session: "LinkSession", now: float) -> None:
-        """The contact session closed; ``session.interrupted`` tells why."""
-
-    def on_transfer_interrupted(
-        self, packet: Packet, peer: "RoutingProtocol", now: float, bytes_sent: float
-    ) -> None:
-        """A transfer of *packet* to *peer* was cut after *bytes_sent* bytes.
-
-        The replica was never committed at the peer (the simulator rolls
-        partial transfers back, or resumes them on the next contact of the
-        same pair when resume is enabled), so default protocol state needs
-        no repair; protocols may track the event for their own estimators.
+        Fires once per contact in every contact model, so protocol state
+        (meeting-time estimators, delivery predictabilities, ...) updates
+        the same way whether the contact is instantaneous or durational.
         """
 
     def exchange_control(self, peer: "RoutingProtocol", now: float, budget: TransferBudget) -> None:

@@ -1,12 +1,14 @@
 """Documentation and packaging checks.
 
-Four guarantees, enforced so they cannot silently rot:
+Five guarantees, enforced so they cannot silently rot:
 
 * the committed CLI reference page matches what the live argparse
   parsers render (``scripts/gen_cli_docs.py``);
 * every internal link in ``docs/`` and the README resolves, and every
   page the mkdocs nav mentions exists (the dependency-free local half
   of CI's ``mkdocs build --strict`` job);
+* the README and the docs index quote the architecture guide's
+  subsystem count;
 * the example gallery documents every script under ``examples/``;
 * the public API surface keeps full docstring coverage, and the
   packaged console-script entry point targets a real callable.
@@ -158,6 +160,36 @@ class TestInternalLinks:
 # ----------------------------------------------------------------------
 # Example gallery completeness
 # ----------------------------------------------------------------------
+_NUMBER_WORDS = {
+    word: index
+    for index, word in enumerate(
+        "zero one two three four five six seven eight nine ten eleven twelve".split()
+    )
+}
+
+
+class TestSubsystemCount:
+    """Pages that quote the architecture guide's subsystem count agree with it."""
+
+    def _guide_count(self):
+        guide = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")
+        heading = re.search(r"^## The (\w+) subsystems$", guide, re.MULTILINE)
+        assert heading, "architecture guide lost its '## The N subsystems' heading"
+        word = heading.group(1)
+        numbered = re.findall(r"^### \d+\. ", guide, re.MULTILINE)
+        assert len(numbered) == _NUMBER_WORDS[word], (
+            f"heading says {word} subsystems but the guide numbers {len(numbered)}"
+        )
+        return word
+
+    @pytest.mark.parametrize("page", ["README.md", "docs/index.md"])
+    def test_page_quotes_the_guide_count(self, page):
+        text = (REPO_ROOT / page).read_text(encoding="utf-8")
+        claims = re.findall(r"the (\w+) subsystems", text)
+        assert claims, f"{page} no longer quotes the subsystem count"
+        assert set(claims) == {self._guide_count()}, f"{page} says {claims}"
+
+
 class TestExampleGallery:
     def test_gallery_documents_every_example(self):
         gallery = (DOCS_DIR / "examples.md").read_text(encoding="utf-8")

@@ -7,8 +7,9 @@ from repro.dtn.node import DeploymentNoise, Node
 from repro.dtn.packet import Packet, PacketFactory, PacketRecord
 from repro.dtn.results import SimulationResult
 from repro.dtn.scheduler import EventQueue
-from repro.dtn.simulator import Simulator, run_simulation
+from repro.dtn.simulator import SIMULATOR_OPTIONS, Simulator, run_simulation
 from repro.dtn.workload import ParallelWorkload, PoissonWorkload, single_packet_workload
+from repro.exceptions import ConfigurationError
 from repro.mobility.schedule import Meeting, MeetingSchedule
 from repro.routing.registry import create_factory
 
@@ -164,6 +165,51 @@ class TestSimulatorBasics:
             DeploymentNoise(meeting_miss_probability=1.5)
         with pytest.raises(ValueError):
             DeploymentNoise(processing_delay=-1)
+
+
+class TestSimulatorOptions:
+    """Misspelled option keys fail loudly instead of running on defaults."""
+
+    def _simulator(self, tiny_schedule, options):
+        packets = single_packet_workload(source=0, destination=2)
+        return Simulator(tiny_schedule, packets, create_factory("epidemic"), options=options)
+
+    @pytest.mark.parametrize(
+        "typo, value",
+        [("contact_modle", "durational"), ("result_mod", "streaming")],
+    )
+    def test_unknown_key_is_rejected(self, tiny_schedule, typo, value):
+        with pytest.raises(ConfigurationError) as excinfo:
+            self._simulator(tiny_schedule, {typo: value})
+        message = str(excinfo.value)
+        assert repr(typo) in message
+        for key in SIMULATOR_OPTIONS:
+            assert key in message
+
+    def test_every_read_key_is_accepted(self, tiny_schedule):
+        assert len(SIMULATOR_OPTIONS) == 11
+        simulator = self._simulator(
+            tiny_schedule,
+            {"contact_model": "durational", "contact_resume": True, "profile": False},
+        )
+        assert simulator.run().meetings_processed == len(tiny_schedule)
+
+    def test_unknown_contact_option_rejected_through_engine_worker(self):
+        from repro.engine import worker as cell_worker
+        from repro.engine.spec import ScenarioSpec
+        from repro.experiments.config import ProtocolSpec, TraceExperimentConfig
+
+        spec = ScenarioSpec.for_cell(
+            config=TraceExperimentConfig.ci_scale(seed=7, num_days=1),
+            protocol=ProtocolSpec(label="rapid", registry_name="rapid"),
+            load=4.0,
+            run_index=0,
+            contact_model="interruptible",
+            contact_options={"contact_interupt_probability": 1.0},
+        )
+        cell_worker.clear_input_caches()
+        with pytest.raises(ConfigurationError, match="'contact_interupt_probability'"):
+            cell_worker.run_cell(spec)
 
 
 class TestSimulationResult:

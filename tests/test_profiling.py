@@ -46,6 +46,14 @@ class TestProfiler:
         # the outer charge would have started at the inner __enter__.
         assert flat["phase_outer_s"] >= 0.02
 
+    def test_timed_charges_each_call_to_one_phase(self):
+        profiler = Profiler()
+        double = profiler.timed("double", lambda x: 2 * x)
+        assert [double(1), double(2)] == [2, 4]
+        flat = profiler.timings()
+        assert flat["calls_double"] == 2.0
+        assert flat["phase_double_s"] >= 0.0
+
     def test_env_switches(self, monkeypatch):
         monkeypatch.delenv(ENV_PROFILE, raising=False)
         assert not profiling_requested()
@@ -71,6 +79,35 @@ class TestSimulationTimings:
         assert payload["timings"] == result.timings
         rebuilt = SimulationResult.from_dict(payload)
         assert rebuilt.timings == result.timings
+
+    def test_every_contact_model_reports_the_contact_phases(self):
+        # One contact pipeline serves every model, so durational runs
+        # report the same phases as instantaneous ones, and profiling
+        # leaves the simulated output untouched in both.
+        schedule, packets = _small_inputs()
+        for model in ("instantaneous", "durational"):
+            profiled = run_simulation(
+                schedule,
+                packets,
+                create_factory("rapid"),
+                seed=3,
+                options={"profile": True, "contact_model": model},
+            )
+            for phase in (
+                "total",
+                "packet_creation",
+                "contact_session",
+                "control_exchange",
+                "direct_delivery",
+                "replication",
+            ):
+                assert f"phase_{phase}_s" in profiled.timings, (model, phase)
+            plain = run_simulation(
+                schedule, packets, create_factory("rapid"), seed=3, options={"contact_model": model}
+            )
+            payload = profiled.to_dict()
+            payload.pop("timings")
+            assert payload == plain.to_dict()
 
     def test_unprofiled_results_serialize_without_timings(self):
         schedule, packets = _small_inputs()
