@@ -241,12 +241,13 @@ class ResilientPool:
 
                 busy = [slot for slot in slots if slot.task is not None]
                 # How long to block: until the nearest deadline, the next
-                # backed-off task becoming eligible, or a coarse tick.
+                # backed-off task becoming eligible (only worth waking for
+                # when a worker is idle to take it), or a coarse tick.
                 timeout = 1.0
                 for slot in busy:
                     if slot.deadline is not None:
                         timeout = min(timeout, max(0.0, slot.deadline - now))
-                if pending:
+                if pending and len(busy) < len(slots):
                     timeout = min(timeout, max(0.0, pending[0][0] - now))
                 if not busy:
                     if timeout > 0:

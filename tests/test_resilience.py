@@ -98,6 +98,11 @@ def _simulate_payload(payload):
     return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _sleep(payload):
+    time.sleep(payload)
+    return payload
+
+
 def _interrupting_progress(done, total):
     raise KeyboardInterrupt
 
@@ -188,6 +193,15 @@ class TestResilientPool:
         pool = ResilientPool(_boom, workers=1, retries=0, backoff_base=0.0)
         pool.run([1, 2], progress=lambda done, total: calls.append((done, total)))
         assert calls == [(1, 2), (2, 2)]
+
+    def test_parent_blocks_while_every_worker_is_busy(self):
+        # Queued tasks are eligible at once; with no idle worker to take
+        # them the parent must block on the pipes, not poll them.
+        pool = ResilientPool(_sleep, workers=2)
+        started = time.process_time()
+        results, failures = pool.run([0.25] * 8)
+        assert results == [0.25] * 8 and failures == []
+        assert time.process_time() - started < 0.2
 
     def test_keyboard_interrupt_reaps_workers(self):
         pool = ResilientPool(_square, workers=2)
