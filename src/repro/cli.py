@@ -248,8 +248,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="retry a crashed/failed/timed-out cell up to N more times "
         "with deterministic backoff; a cell past the budget is reported "
-        "as failed and the sweep continues (selects the failure-"
-        "resilient dispatch path)",
+        "as failed and the sweep continues (without --retries or "
+        "--cell-timeout a failed cell fails the run)",
     )
     parser.add_argument(
         "--cell-timeout",
@@ -257,8 +257,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="wall-clock deadline of one cell attempt; a worker past it "
-        "is killed and the cell retried (selects the failure-resilient "
-        "dispatch path)",
+        "is killed and the cell retried, or reported as failed once past "
+        "--retries",
     )
     parser.add_argument(
         "--cache-dir",

@@ -5,8 +5,8 @@ simulation cells.  This package turns that grid into infrastructure:
 
 * :mod:`~repro.engine.spec` — :class:`ScenarioSpec` names one cell as
   plain data; :class:`ScenarioGrid` expands protocols x loads x runs;
-* :mod:`~repro.engine.executor` — :class:`Executor` runs cells serially
-  or fanned out over worker processes, in deterministic order;
+* :mod:`~repro.engine.executor` — :class:`Executor` runs cells
+  in-process or on a self-healing worker pool, in deterministic order;
 * :mod:`~repro.engine.cache` — :class:`ResultCache` persists per-cell
   results under a content address so re-runs are free;
 * :mod:`~repro.engine.aggregator` — :class:`Aggregator` reduces cell
@@ -204,16 +204,6 @@ class ExperimentEngine:
         decisions_writer = (
             decisions_writer if decisions_writer is not None else self.decisions_writer
         )
-        # Any observed collection (per-cell walls for telemetry, traces,
-        # metrics, decisions) routes misses through the observed worker
-        # entry point.
-        observe = (
-            observability.enabled
-            or telemetry is not None
-            or trace_writer is not None
-            or decisions_writer is not None
-        )
-
         results: List[Optional[SimulationResult]] = [None] * len(cells)
         miss_indices: List[int] = []
         done = 0
@@ -246,64 +236,39 @@ class ExperimentEngine:
                     self.progress(done + completed, len(cells), spec)
 
             on_progress = _on_progress if self.progress else None
-            failures: List[CellFailure] = []
-            if observe:
-                if self.executor.resilient:
-                    observed, failures = self.executor.run_observed_resilient(
-                        missed_cells, observability, progress=on_progress
+            observed = self.executor.run_observed(
+                missed_cells, observability, progress=on_progress
+            )
+            for index, payload in zip(miss_indices, observed):
+                if payload is None:  # exhausted its retries
+                    continue
+                result = payload["result"]
+                results[index] = result
+                self.stats.cells_executed += 1
+                if telemetry is not None:
+                    telemetry.record_cell(
+                        index, cells[index].label, payload["wall_s"], cached=False
                     )
-                else:
-                    observed = self.executor.run_observed(
-                        missed_cells, observability, progress=on_progress
-                    )
-                self.stats.cells_executed += sum(
-                    1 for payload in observed if payload is not None
-                )
-                for index, payload in zip(miss_indices, observed):
-                    if payload is None:  # exhausted its retries
-                        continue
-                    result = SimulationResult.from_dict(payload["result"])
-                    results[index] = result
-                    if telemetry is not None:
-                        telemetry.record_cell(
-                            index, cells[index].label, payload["wall_s"], cached=False
-                        )
-                    if trace_writer is not None:
-                        for line in payload["trace"]:
-                            trace_writer(line)
-                    if decisions_writer is not None:
-                        for line in payload.get("decisions", ()):
-                            decisions_writer(line)
-                    if self.cache is not None:
-                        self.cache.put(cells[index], result)
-                    if self.manifest is not None:
-                        self.manifest.mark_completed(cells[index].cache_key())
-            else:
-                if self.executor.resilient:
-                    executed, failures = self.executor.run_resilient(
-                        missed_cells, progress=on_progress
-                    )
-                else:
-                    executed = self.executor.run(missed_cells, progress=on_progress)
-                self.stats.cells_executed += sum(
-                    1 for result in executed if result is not None
-                )
-                for index, result in zip(miss_indices, executed):
-                    if result is None:  # exhausted its retries
-                        continue
-                    results[index] = result
-                    if self.cache is not None:
-                        self.cache.put(cells[index], result)
-                    if self.manifest is not None:
-                        self.manifest.mark_completed(cells[index].cache_key())
-            self._record_failures(failures, miss_indices, cells, telemetry)
+                if trace_writer is not None:
+                    for line in payload["trace"]:
+                        trace_writer(line)
+                if decisions_writer is not None:
+                    for line in payload["decisions"]:
+                        decisions_writer(line)
+                if self.cache is not None:
+                    self.cache.put(cells[index], result)
+                if self.manifest is not None:
+                    self.manifest.mark_completed(cells[index].cache_key())
+            self._record_failures(
+                self.executor.last_failures, miss_indices, cells, telemetry
+            )
 
         batch_wall = time.perf_counter() - started
         self.stats.wall_time_s += batch_wall
         if telemetry is not None:
             telemetry.add_engine_wall(batch_wall)
-        # Failed cells (resilient path only) are dropped from the ordered
-        # output; their batch indices are in :attr:`last_failures` so
+        # Failed cells (resilient executors only) are dropped from the
+        # ordered output; their batch indices are in :attr:`last_failures` so
         # aggregating callers can drop the matching cells too.
         return [r for r in results if r is not None]
 

@@ -1,44 +1,41 @@
-"""Cell executors: serial in-process and multiprocess fan-out.
+"""Cell executor: one execution method over one worker pool.
 
 The executor is deliberately dumb: it takes a list of cells and returns
-their results *in the same order*.  Caching, aggregation and progress
-accounting live above it (:class:`repro.engine.ExperimentEngine`), input
-reconstruction lives below it (:mod:`repro.engine.worker`).
+their observed payloads *in the same order*.  Caching, aggregation and
+progress accounting live above it (:class:`repro.engine.ExperimentEngine`),
+input reconstruction lives below it (:mod:`repro.engine.worker`).
 
 Determinism: every cell carries its own seeds inside the spec, and
 workers rebuild inputs from those seeds, so the result of a cell does not
-depend on which backend — or which worker process — executes it.  The
-multiprocess backend uses ``imap`` over spec dictionaries with a
-top-level worker function, which preserves submission order and works
-under any multiprocessing start method.
+depend on whether it ran in-process or in which worker process.
 
-The worker pool is created lazily on the first multiprocess run and then
-*reused* across runs, so exhibits that submit many small batches (e.g. a
-buffer sweep looping over ``run_protocol``) pay pool start-up once and
-keep the workers' memoized inputs warm.  Workers are daemonic and die
-with the parent; call :meth:`Executor.close` (or use the executor as a
-context manager) to release them earlier.
+With one worker and neither retries nor a timeout, cells run in-process
+and their payloads carry live results.  Every other configuration ships
+spec dictionaries to :func:`repro.engine.worker.execute_cell_observed`
+on a :class:`~repro.engine.resilient.ResilientPool`, one cell per worker
+at a time; retries and a timeout only turn on its retry and
+partial-result behaviour.  The pool starts lazily on the first
+multiprocess run and is *reused* across runs, so exhibits that submit
+many small batches (e.g. a buffer sweep looping over ``run_protocol``)
+pay pool start-up once and keep the workers' memoized inputs warm.
+Workers are daemonic and die with the parent; call :meth:`Executor.close`
+(or use the executor as a context manager) to release them earlier.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..dtn.results import SimulationResult
-from ..exceptions import ConfigurationError
+from ..exceptions import CellFailedError, ConfigurationError
 from ..observability import ObservabilityOptions
 from .resilient import CellFailure, ResilientPool
 from .spec import ScenarioSpec
-from .worker import execute_cell, execute_cell_observed, run_cell
+from .worker import execute_cell_observed, run_observed_cell
 
 #: Progress callbacks receive ``(completed_cells, total_cells, spec)``.
 ProgressCallback = Callable[[int, int, ScenarioSpec], None]
-
-BACKEND_SERIAL = "serial"
-BACKEND_PROCESS = "process"
 
 
 def default_workers() -> int:
@@ -47,200 +44,106 @@ def default_workers() -> int:
 
 
 class Executor:
-    """Runs scenario cells through a chosen backend.
+    """Runs scenario cells in-process or on the worker pool.
 
     Args:
-        workers: Number of worker processes; ``1`` selects the serial
-            backend unless *backend* forces otherwise.
-        backend: ``"serial"``, ``"process"`` or ``None`` to pick from
-            *workers*.
-        chunksize: Cells handed to a worker per dispatch; ``None`` sizes
-            chunks so each worker receives roughly four (balancing
-            dispatch overhead against tail latency on uneven cells).
-        retries: Extra attempts per cell after the first; any non-zero
-            value selects the resilient dispatch path (see
-            :mod:`repro.engine.resilient`).
-        cell_timeout: Per-attempt deadline in seconds; setting it also
-            selects the resilient path (a deadline needs one-cell-per-
-            worker dispatch to be enforceable).
-        backoff_base: Base of the deterministic retry backoff
-            (``backoff_base * 2**(attempt-1)`` seconds).
+        workers: Number of worker processes; ``1`` runs cells in-process
+            unless retries or a timeout need a worker to isolate them.
+        retries: Extra attempts per cell after the first.  Together with
+            *cell_timeout* it makes the executor *resilient*: a cell that
+            exhausts its attempts becomes ``None`` in the returned list
+            and a :class:`~repro.engine.resilient.CellFailure` in
+            :attr:`last_failures` instead of failing the run.
+        cell_timeout: Per-attempt deadline in seconds.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        backend: Optional[str] = None,
-        chunksize: Optional[int] = None,
         retries: int = 0,
         cell_timeout: Optional[float] = None,
-        backoff_base: float = 0.5,
     ) -> None:
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
-        if backend not in (None, BACKEND_SERIAL, BACKEND_PROCESS):
-            raise ConfigurationError(f"unknown executor backend {backend!r}")
         if retries < 0:
             raise ConfigurationError("retries must not be negative")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ConfigurationError("cell_timeout must be positive")
         self.workers = workers
-        self.backend = backend
-        self.chunksize = chunksize
         self.retries = retries
         self.cell_timeout = cell_timeout
-        self.backoff_base = backoff_base
-        self._pool: Optional[multiprocessing.pool.Pool] = None
+        #: Cells of the most recent :meth:`run_observed` batch that
+        #: exhausted their retries (indices refer to that batch).
+        self.last_failures: List[CellFailure] = []
+        self._pool: Optional[ResilientPool] = None
 
     @property
     def resilient(self) -> bool:
-        """Whether cells should run through the failure-resilient path."""
+        """Whether failed cells become partial results instead of errors."""
         return self.retries > 0 or self.cell_timeout is not None
-
-    def effective_backend(self) -> str:
-        """The backend in force (serial unless multiple workers)."""
-        if self.backend is not None:
-            return self.backend
-        return BACKEND_PROCESS if self.workers > 1 else BACKEND_SERIAL
-
-    def run(
-        self,
-        cells: Sequence[ScenarioSpec],
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[SimulationResult]:
-        """Execute *cells*; results are returned in submission order."""
-        cells = list(cells)
-        if not cells:
-            return []
-        if self.effective_backend() == BACKEND_SERIAL:
-            return self._run_serial(cells, progress)
-        return self._run_process(cells, progress)
 
     def run_observed(
         self,
         cells: Sequence[ScenarioSpec],
         observability: ObservabilityOptions,
         progress: Optional[ProgressCallback] = None,
-    ) -> List[dict]:
-        """Execute *cells* through the observed worker entry point.
+    ) -> List[Optional[dict]]:
+        """Execute *cells*; return their observed payloads in submission order.
 
-        Returns the raw observed payloads — ``{"result": dict, "wall_s":
-        float, "trace": [lines]}`` — in submission order.  Both backends
-        route through :func:`repro.engine.worker.execute_cell_observed`,
-        so serial and multiprocess runs produce identical trace bytes and
-        identical result dictionaries; only ``wall_s`` (telemetry about
-        the run, never part of it) differs between hosts.
+        Each payload is ``{"result": SimulationResult, "wall_s": float,
+        "trace": [lines], "decisions": [lines]}``.  In-process and pool
+        runs produce identical results and trace bytes; only ``wall_s``
+        (telemetry about the run, never part of it) differs.
+        *progress* receives ``(settled, total, spec)`` with the spec of
+        the cell that just settled.
+
+        A failed cell raises unless the executor is :attr:`resilient`:
+        in-process the cell's own exception propagates, on the pool a
+        :class:`~repro.exceptions.CellFailedError` names every failed
+        cell and its worker's error.  A resilient executor instead
+        leaves ``None`` at the failed cell's index and reports it in
+        :attr:`last_failures`.
         """
         cells = list(cells)
+        self.last_failures = []
         if not cells:
             return []
-        payloads = [
-            {"spec": spec.to_dict(), "observability": observability.to_dict()}
-            for spec in cells
-        ]
-        observed: List[dict] = []
-        if self.effective_backend() == BACKEND_SERIAL:
-            for index, payload in enumerate(payloads):
-                observed.append(execute_cell_observed(payload))
+        if self.workers == 1 and not self.resilient:
+            observed: List[Optional[dict]] = []
+            for index, spec in enumerate(cells):
+                observed.append(run_observed_cell(spec, observability))
                 if progress is not None:
-                    progress(index + 1, len(cells), cells[index])
+                    progress(index + 1, len(cells), spec)
             return observed
+
         if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=self.workers)
-        chunksize = self.chunksize or max(1, math.ceil(len(cells) / (self.workers * 4)))
-        try:
-            for index, payload in enumerate(
-                self._pool.imap(execute_cell_observed, payloads, chunksize=chunksize)
-            ):
-                observed.append(payload)
-                if progress is not None:
-                    progress(index + 1, len(cells), cells[index])
-        except KeyboardInterrupt:
-            # Ctrl-C mid-sweep: terminate the pool so no orphaned workers
-            # keep simulating, then let callers flush telemetry/caches.
-            self.close()
-            raise
+            self._pool = ResilientPool(
+                execute_cell_observed,
+                workers=self.workers,
+                retries=self.retries,
+                cell_timeout=self.cell_timeout,
+            )
+        on_settled = None
+        if progress is not None:
+
+            def on_settled(done: int, total: int, index: int) -> None:
+                progress(done, total, cells[index])
+
+        options = observability.to_dict()
+        observed, failures = self._pool.run(
+            [{"spec": spec.to_dict(), "observability": options} for spec in cells],
+            labels=[spec.label for spec in cells],
+            progress=on_settled,
+        )
+        if failures and not self.resilient:
+            raise CellFailedError(
+                "; ".join(f"cell {f.label!r} failed: {f.error}" for f in failures)
+            )
+        self.last_failures = failures
+        for payload in observed:
+            if payload is not None:
+                payload["result"] = SimulationResult.from_dict(payload["result"])
         return observed
-
-    # ------------------------------------------------------------------
-    # Resilient execution (retries / timeouts / crash isolation)
-    # ------------------------------------------------------------------
-    def run_resilient(
-        self,
-        cells: Sequence[ScenarioSpec],
-        progress: Optional[ProgressCallback] = None,
-    ) -> Tuple[List[Optional[SimulationResult]], List[CellFailure]]:
-        """Execute *cells* with crash isolation, deadlines and retries.
-
-        Returns the ordered result list — ``None`` at the index of any
-        cell that exhausted its retry budget — plus the matching
-        :class:`~repro.engine.resilient.CellFailure` report.  Results of
-        surviving cells are byte-identical to the plain backends (a cell
-        is a pure function of its spec, whichever attempt computed it).
-        """
-        cells = list(cells)
-        payloads = [spec.to_dict() for spec in cells]
-        pool = ResilientPool(
-            execute_cell,
-            workers=self.workers,
-            retries=self.retries,
-            cell_timeout=self.cell_timeout,
-            backoff_base=self.backoff_base,
-        )
-        raw, failures = pool.run(
-            payloads,
-            labels=[spec.label for spec in cells],
-            progress=self._adapt_progress(cells, progress),
-        )
-        results = [
-            SimulationResult.from_dict(item) if item is not None else None
-            for item in raw
-        ]
-        return results, failures
-
-    def run_observed_resilient(
-        self,
-        cells: Sequence[ScenarioSpec],
-        observability: ObservabilityOptions,
-        progress: Optional[ProgressCallback] = None,
-    ) -> Tuple[List[Optional[dict]], List[CellFailure]]:
-        """Observed twin of :meth:`run_resilient` (payloads, failures)."""
-        cells = list(cells)
-        payloads = [
-            {"spec": spec.to_dict(), "observability": observability.to_dict()}
-            for spec in cells
-        ]
-        pool = ResilientPool(
-            execute_cell_observed,
-            workers=self.workers,
-            retries=self.retries,
-            cell_timeout=self.cell_timeout,
-            backoff_base=self.backoff_base,
-        )
-        observed, failures = pool.run(
-            payloads,
-            labels=[spec.label for spec in cells],
-            progress=self._adapt_progress(cells, progress),
-        )
-        return observed, failures
-
-    @staticmethod
-    def _adapt_progress(
-        cells: Sequence[ScenarioSpec], progress: Optional[ProgressCallback]
-    ):
-        """Bridge the pool's ``(done, total)`` callback to the engine's.
-
-        The resilient pool completes cells out of submission order, so
-        the spec reported is the *last finished count's* cell only in the
-        aggregate sense; the engine's printers use it for labelling.
-        """
-        if progress is None:
-            return None
-
-        def adapted(done: int, total: int) -> None:
-            progress(done, total, cells[min(done, total) - 1])
-
-        return adapted
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -248,8 +151,7 @@ class Executor:
     def close(self) -> None:
         """Release the worker pool (a later run transparently recreates it)."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.close()
             self._pool = None
 
     def __enter__(self) -> "Executor":
@@ -257,38 +159,3 @@ class Executor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Backends
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self, cells: List[ScenarioSpec], progress: Optional[ProgressCallback]
-    ) -> List[SimulationResult]:
-        results: List[SimulationResult] = []
-        for index, spec in enumerate(cells):
-            results.append(run_cell(spec))
-            if progress is not None:
-                progress(index + 1, len(cells), spec)
-        return results
-
-    def _run_process(
-        self, cells: List[ScenarioSpec], progress: Optional[ProgressCallback]
-    ) -> List[SimulationResult]:
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=self.workers)
-        payloads = [spec.to_dict() for spec in cells]
-        chunksize = self.chunksize or max(1, math.ceil(len(cells) / (self.workers * 4)))
-        results: List[SimulationResult] = []
-        try:
-            for index, result_dict in enumerate(
-                self._pool.imap(execute_cell, payloads, chunksize=chunksize)
-            ):
-                results.append(SimulationResult.from_dict(result_dict))
-                if progress is not None:
-                    progress(index + 1, len(cells), cells[index])
-        except KeyboardInterrupt:
-            # Ctrl-C mid-sweep: terminate the pool so no orphaned workers
-            # keep simulating, then let callers flush telemetry/caches.
-            self.close()
-            raise
-        return results

@@ -1,10 +1,9 @@
-"""Failure-resilient cell execution: crash isolation, timeouts, retries.
+"""The engine's worker pool: crash isolation, timeouts, retries.
 
-The plain multiprocess backend (:class:`~repro.engine.executor.Executor`)
-treats its worker pool as infallible: a worker that dies takes the whole
-sweep down with it, and a cell that hangs stalls the pool forever.  This
-module provides the opt-in resilient path behind ``--retries`` and
-``--cell-timeout``:
+Every multiprocess run of :class:`~repro.engine.executor.Executor` goes
+through :class:`ResilientPool`.  Its default configuration (no retries,
+no timeout) runs each cell once; ``--retries`` and ``--cell-timeout``
+turn on the rest:
 
 * **crash isolation** — every worker owns a private pipe; a worker that
   dies mid-cell (OOM kill, segfault, ``SIGKILL``) surfaces as a broken
@@ -21,6 +20,11 @@ module provides the opt-in resilient path behind ``--retries`` and
   :class:`CellFailure` in the returned report instead of an exception;
   its slot in the ordered result list is ``None``.
 
+Workers start lazily on the first :meth:`ResilientPool.run` and persist
+across runs until :meth:`ResilientPool.close` (or until the pool is
+garbage-collected), so a caller that submits many small batches pays
+process start-up once and keeps the workers' memoized inputs warm.
+
 Determinism is unaffected: a cell's result is a pure function of its
 spec, so it does not matter which worker — or which attempt — produced
 it.  A sweep with one worker SIGKILLed mid-run therefore yields results
@@ -33,6 +37,7 @@ import multiprocessing
 import multiprocessing.connection
 import time
 import traceback
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -104,8 +109,31 @@ class _WorkerSlot:
         self.deadline: Optional[float] = None
 
 
+def _reap(slot: _WorkerSlot) -> None:
+    try:
+        slot.conn.close()
+    except OSError:  # pragma: no cover - best-effort cleanup
+        pass
+    if slot.process.is_alive():
+        slot.process.terminate()
+    slot.process.join(timeout=5.0)
+
+
+def _close_slots(slots: List[_WorkerSlot]) -> None:
+    """Ask idle workers to exit, reap every worker, and empty *slots*."""
+    for slot in slots:
+        if slot.task is None and slot.process.is_alive():
+            try:
+                slot.conn.send(None)
+            except OSError:
+                pass
+    for slot in slots:
+        _reap(slot)
+    slots.clear()
+
+
 class ResilientPool:
-    """A self-healing worker pool with per-task deadlines and retries.
+    """A persistent, self-healing worker pool with deadlines and retries.
 
     Unlike :class:`multiprocessing.pool.Pool` the dispatch window is one
     task per worker, which is what makes a deadline enforceable (the
@@ -141,6 +169,10 @@ class ResilientPool:
         self.retries = retries
         self.cell_timeout = cell_timeout
         self.backoff_base = backoff_base
+        self._slots: List[_WorkerSlot] = []
+        # Reaps the workers of a pool dropped without close(); holds the
+        # slot list, not the pool, so the pool stays collectable.
+        weakref.finalize(self, _close_slots, self._slots)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -154,15 +186,14 @@ class ResilientPool:
         child_conn.close()
         return _WorkerSlot(process, parent_conn)
 
-    @staticmethod
-    def _reap(slot: _WorkerSlot) -> None:
-        try:
-            slot.conn.close()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        if slot.process.is_alive():
-            slot.process.terminate()
-        slot.process.join(timeout=5.0)
+    def _replace(self, slot: _WorkerSlot) -> None:
+        """Reap *slot*'s worker and put a fresh one in its place."""
+        _reap(slot)
+        self._slots[self._slots.index(slot)] = self._spawn()
+
+    def close(self) -> None:
+        """Stop every worker (a later :meth:`run` starts fresh ones)."""
+        _close_slots(self._slots)
 
     def _backoff(self, attempts: int) -> float:
         """Deterministic delay before attempt ``attempts + 1`` of a task."""
@@ -177,15 +208,19 @@ class ResilientPool:
         self,
         payloads: Sequence[object],
         labels: Optional[Sequence[str]] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
+        progress: Optional[Callable[[int, int, int], None]] = None,
     ) -> Tuple[List[Optional[object]], List[CellFailure]]:
         """Run every payload; return ``(ordered results, failures)``.
 
         Results keep submission order; a task that exhausted its retries
         holds ``None`` in the result list and one :class:`CellFailure`
-        (at the same index) in the failure list.  ``KeyboardInterrupt``
-        terminates every worker before propagating, so an interrupted
-        sweep leaves no orphaned processes behind.
+        (at the same index) in the failure list.  *progress* is called
+        as ``(settled, total, index)`` each time a task settles, where
+        *index* is the submission index of the task that just settled
+        (tasks settle out of submission order).  Any exception —
+        ``KeyboardInterrupt`` included — stops every worker before
+        propagating, so an interrupted sweep leaves no orphaned
+        processes behind.
         """
         payloads = list(payloads)
         total = len(payloads)
@@ -199,7 +234,11 @@ class ResilientPool:
         # a retried task re-enters with its backoff deadline.
         pending: List[Tuple[float, int]] = [(0.0, index) for index in range(total)]
         done = 0
-        slots = [self._spawn() for _ in range(min(self.workers, total))]
+        slots = self._slots
+        for slot in [slot for slot in slots if not slot.process.is_alive()]:
+            self._replace(slot)  # died while idle between runs
+        while len(slots) < min(self.workers, total):
+            slots.append(self._spawn())
 
         def label_of(index: int) -> str:
             return labels[index] if labels is not None else str(index)
@@ -219,7 +258,7 @@ class ResilientPool:
                 )
                 done += 1
                 if progress is not None:
-                    progress(done, total)
+                    progress(done, total, index)
             else:
                 not_before = time.monotonic() + self._backoff(attempts[index])
                 pending.append((not_before, index))
@@ -261,23 +300,22 @@ class ResilientPool:
                     slot = next(s for s in busy if s.conn is conn)
                     index = slot.task
                     try:
-                        reply_index, ok, value = conn.recv()
+                        _, ok, value = conn.recv()
                     except (EOFError, OSError):
                         # The worker died mid-cell: reap it, spawn a
                         # replacement, and charge the cell one attempt.
-                        self._reap(slot)
-                        slots[slots.index(slot)] = self._spawn()
+                        self._replace(slot)
                         settle(index, "worker died mid-cell")
                         continue
                     slot.task = None
                     slot.deadline = None
                     if ok:
-                        results[reply_index] = value
+                        results[index] = value
                         done += 1
                         if progress is not None:
-                            progress(done, total)
+                            progress(done, total, index)
                     else:
-                        settle(reply_index, str(value))
+                        settle(index, str(value))
 
                 # Enforce deadlines on workers that stayed silent.
                 now = time.monotonic()
@@ -288,25 +326,17 @@ class ResilientPool:
                         and now >= slot.deadline
                     ):
                         index = slot.task
-                        self._reap(slot)
-                        slots[slots.index(slot)] = self._spawn()
+                        self._replace(slot)
                         settle(
                             index,
                             f"cell timed out after {self.cell_timeout:g}s",
                         )
-        except KeyboardInterrupt:
-            for slot in slots:
-                self._reap(slot)
+        except BaseException:
+            # Workers may be mid-task with replies this run will never
+            # read; stop them all so none keeps simulating and the next
+            # run starts from clean pipes.
+            self.close()
             raise
-        finally:
-            for slot in slots:
-                if slot.task is None and slot.process.is_alive():
-                    try:
-                        slot.conn.send(None)
-                    except (OSError, BrokenPipeError):
-                        pass
-            for slot in slots:
-                self._reap(slot)
 
         failures.sort(key=lambda failure: failure.index)
         return results, failures

@@ -1,10 +1,10 @@
 """Cell execution: rebuild inputs from a spec and run the simulator.
 
 This module is the *only* place that turns a :class:`ScenarioSpec` into
-simulator inputs.  Both execution backends go through it — the serial
-backend calls :func:`run_cell` in-process, the multiprocessing backend
-ships spec dictionaries to :func:`execute_cell` (a top-level function, so
-it is importable by worker processes under any start method).
+simulator inputs.  The executor calls :func:`run_observed_cell`
+in-process, and its worker pool ships spec dictionaries to
+:func:`execute_cell_observed` (a top-level function, so it is importable
+by worker processes under any start method).
 
 Schedules and workloads are derived purely from the configuration seeds,
 which gives two properties the engine depends on:
@@ -291,31 +291,19 @@ def run_cell(
     )
 
 
-def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
-    """Worker-process entry point: spec dict in, result dict out.
+def run_observed_cell(
+    spec: ScenarioSpec, observability: ObservabilityOptions
+) -> Dict[str, object]:
+    """Run one cell and collect its per-cell telemetry.
 
-    Dictionaries rather than live objects cross the process boundary, so
-    the transport exercises the same round-trip serialization the result
-    cache relies on.
+    Returns ``{"result": SimulationResult, "wall_s": float, "trace":
+    [lines], "decisions": [lines]}``: the live result, the wall seconds
+    the cell took in this process and, when requested, the cell's
+    canonical JSONL trace and decision-audit lines.  Trace events carry
+    simulated time only, so the lines are byte-identical no matter which
+    process executes the cell; wall seconds are telemetry *about* the
+    run and never enter the result.
     """
-    spec = ScenarioSpec.from_dict(payload)
-    return run_cell(spec).to_dict()
-
-
-def execute_cell_observed(payload: Dict[str, object]) -> Dict[str, object]:
-    """Observed worker entry point: cell execution plus per-cell telemetry.
-
-    The payload carries the spec dictionary next to serialized
-    :class:`~repro.observability.telemetry.ObservabilityOptions`.  The
-    return value wraps the result dictionary with the wall seconds the
-    cell took in this process and, when tracing was requested, the cell's
-    canonical JSONL trace lines.  Trace events carry simulated time only,
-    so the lines are byte-identical no matter which backend or process
-    executes the cell; wall seconds are telemetry *about* the run and
-    never enter the result.
-    """
-    spec = ScenarioSpec.from_dict(payload["spec"])
-    observability = ObservabilityOptions.from_dict(payload["observability"])
     sink = MemorySink() if observability.trace else None
     decision_sink = MemorySink() if observability.decisions else None
     extra: Dict[str, object] = {}
@@ -329,8 +317,26 @@ def execute_cell_observed(payload: Dict[str, object]) -> Dict[str, object]:
     result = run_cell(spec, extra_options=extra or None)
     wall_s = time.perf_counter() - started
     return {
-        "result": result.to_dict(),
+        "result": result,
         "wall_s": wall_s,
         "trace": sink.lines() if sink is not None else [],
         "decisions": decision_sink.lines() if decision_sink is not None else [],
     }
+
+
+def execute_cell_observed(payload: Dict[str, object]) -> Dict[str, object]:
+    """Worker-process entry point: :func:`run_observed_cell` over dictionaries.
+
+    The payload carries the spec dictionary next to serialized
+    :class:`~repro.observability.telemetry.ObservabilityOptions`; the
+    returned payload carries the result dictionary.  Dictionaries rather
+    than live objects cross the process boundary, so the transport
+    exercises the same round-trip serialization the result cache relies
+    on.
+    """
+    observed = run_observed_cell(
+        ScenarioSpec.from_dict(payload["spec"]),
+        ObservabilityOptions.from_dict(payload["observability"]),
+    )
+    observed["result"] = observed["result"].to_dict()
+    return observed

@@ -29,6 +29,10 @@ class SimulationError(ReproError):
     """Raised when the simulator reaches an inconsistent state."""
 
 
+class CellFailedError(ReproError):
+    """Raised when a cell fails on an executor that allows no partial results."""
+
+
 class ScheduleError(ReproError):
     """Raised for malformed meeting schedules (negative times, bad nodes)."""
 

@@ -176,23 +176,23 @@ class TestScenarioGrid:
 class TestExecutorBackends:
     def test_serial_and_process_results_identical(self, tiny_grid):
         cells = tiny_grid.cells()
-        serial = Executor(workers=1).run(cells)
-        parallel = Executor(workers=2).run(cells)
+        serial = ExperimentEngine(workers=1).run_cells(cells)
+        parallel = ExperimentEngine(workers=2).run_cells(cells)
         assert [r.summary() for r in serial] == [r.summary() for r in parallel]
         assert [r.protocol_name for r in serial] == [c.protocol_spec().factory().name for c in cells]
 
     def test_progress_callback_ordered(self, tiny_grid):
         cells = tiny_grid.cells()[:3]
         seen = []
-        Executor(workers=1).run(cells, progress=lambda done, total, spec: seen.append((done, total)))
+        ExperimentEngine(
+            workers=1, progress=lambda done, total, spec: seen.append((done, total))
+        ).run_cells(cells)
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Executor(workers=0)
-        with pytest.raises(ConfigurationError):
-            Executor(backend="gpu")
-        assert Executor(workers=1).run([]) == []
+        assert ExperimentEngine(workers=1).run_cells([]) == []
 
 
 class TestEngineEquivalenceAndSweep:
@@ -235,7 +235,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         cells = tiny_grid.cells()[:2]
         assert cache.get(cells[0]) is None
-        results = Executor(workers=1).run(cells)
+        results = ExperimentEngine(workers=1).run_cells(cells)
         for spec, result in zip(cells, results):
             cache.put(spec, result)
         assert len(cache) == 2
@@ -290,7 +290,7 @@ class TestResultCache:
 class TestAggregator:
     def test_groups_and_averages_by_label_and_load(self, tiny_grid):
         cells = tiny_grid.cells()
-        results = Executor(workers=1).run(cells)
+        results = ExperimentEngine(workers=1).run_cells(cells)
         series = Aggregator("delivery_rate").series(cells, results)
         assert set(series) == {"Random", "Spray and Wait"}
         assert all(len(values) == len(tiny_grid.loads) for values in series.values())
@@ -308,7 +308,7 @@ class TestAggregator:
 
     def test_unknown_group_rejected(self, tiny_grid):
         cells = tiny_grid.cells()
-        results = Executor(workers=1).run(cells)
+        results = ExperimentEngine(workers=1).run_cells(cells)
         with pytest.raises(KeyError):
             Aggregator("delivery_rate").series(cells, results, labels=["Nope"])
 

@@ -14,6 +14,7 @@ of trace/telemetry output paths, and the headline robustness claims:
 
 import json
 import os
+import re
 import signal
 import time
 
@@ -29,11 +30,12 @@ from repro.engine import (
     SweepManifest,
     SweepTelemetry,
 )
+from repro.engine import executor as executor_module
 from repro.engine.resilient import ResilientPool
-from repro.engine.worker import execute_cell
-from repro.exceptions import ConfigurationError
+from repro.engine.worker import execute_cell_observed
+from repro.exceptions import CellFailedError, ConfigurationError
 from repro.experiments.config import ProtocolSpec, SyntheticExperimentConfig
-from repro.observability import JsonlSink, validate_writable
+from repro.observability import JsonlSink, ObservabilityOptions, validate_writable
 from repro.observability.telemetry import SWEEP_REPORT_VERSION
 
 
@@ -103,8 +105,30 @@ def _sleep(payload):
     return payload
 
 
-def _interrupting_progress(done, total):
+def _interrupting_progress(done, total, index):
     raise KeyboardInterrupt
+
+
+def _observed_rapid_last(payload):
+    """The observed worker entry, holding back every ``rapid`` cell."""
+    if payload["spec"]["protocol"]["label"] == "rapid":
+        time.sleep(0.5)
+    return execute_cell_observed(payload)
+
+
+def _observed_random_run1_killed(payload):
+    """The observed worker entry, SIGKILLing the worker on one cell."""
+    spec = payload["spec"]
+    if spec["protocol"]["label"] == "random" and spec["run_index"] == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute_cell_observed(payload)
+
+
+def _observed_with_pid(payload):
+    """The observed worker entry, tagging the payload with the worker pid."""
+    observed = execute_cell_observed(payload)
+    observed["pid"] = os.getpid()
+    return observed
 
 
 # ----------------------------------------------------------------------
@@ -191,8 +215,30 @@ class TestResilientPool:
     def test_progress_counts_every_settled_cell(self, tmp_path):
         calls = []
         pool = ResilientPool(_boom, workers=1, retries=0, backoff_base=0.0)
-        pool.run([1, 2], progress=lambda done, total: calls.append((done, total)))
-        assert calls == [(1, 2), (2, 2)]
+        pool.run([1, 2], progress=lambda *call: calls.append(call))
+        assert calls == [(1, 2, 0), (2, 2, 1)]
+
+    def test_progress_names_the_task_that_settled(self):
+        calls = []
+        pool = ResilientPool(_sleep, workers=2)
+        pool.run([0.5, 0.0], progress=lambda *call: calls.append(call))
+        assert calls == [(1, 2, 1), (2, 2, 0)]
+
+    def test_unclosed_pool_is_reaped_on_collection(self):
+        pool = ResilientPool(_square, workers=2)
+        pool.run([1, 2])
+        processes = [slot.process for slot in pool._slots]
+        assert all(process.is_alive() for process in processes)
+        del pool
+        assert not any(process.is_alive() for process in processes)
+
+    def test_worker_dead_between_runs_is_replaced(self):
+        pool = ResilientPool(_square, workers=1)
+        pool.run([1])
+        os.kill(pool._slots[0].process.pid, signal.SIGKILL)
+        pool._slots[0].process.join(timeout=5.0)
+        assert pool.run([3]) == ([9], [])
+        pool.close()
 
     def test_parent_blocks_while_every_worker_is_busy(self):
         # Queued tasks are eligible at once; with no idle worker to take
@@ -261,6 +307,43 @@ class TestResilientExecutor:
             Executor(retries=-1)
         with pytest.raises(ConfigurationError):
             Executor(cell_timeout=0.0)
+
+    def test_progress_reports_the_cell_that_finished(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "execute_cell_observed", _observed_rapid_last)
+        cells = self._cells()
+        rapid, random_ = cells[0], cells[2]
+        seen = []
+        with Executor(workers=2) as executor:
+            executor.run_observed(
+                [rapid, random_],
+                ObservabilityOptions(),
+                progress=lambda done, total, spec: seen.append((done, total, spec)),
+            )
+        assert seen == [(1, 2, random_), (2, 2, rapid)]
+
+    def test_failed_cell_fails_a_plain_multiprocess_run(self, monkeypatch):
+        monkeypatch.setattr(
+            executor_module, "execute_cell_observed", _observed_random_run1_killed
+        )
+        cells = self._cells()
+        engine = ExperimentEngine(executor=Executor(workers=2))
+        with pytest.raises(
+            CellFailedError, match=re.escape("cell 'random' failed: worker died")
+        ):
+            engine.run_cells(cells)
+        engine.close()
+
+    def test_batches_share_one_pool_until_close(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "execute_cell_observed", _observed_with_pid)
+        cells = self._cells()
+        executor = Executor(workers=2)
+        options = ObservabilityOptions()
+        first = {payload["pid"] for payload in executor.run_observed(cells[:2], options)}
+        second = {payload["pid"] for payload in executor.run_observed(cells[2:], options)}
+        assert second <= first and len(first) == 2
+        processes = [slot.process for slot in executor._pool._slots]
+        executor.close()
+        assert not any(process.is_alive() for process in processes)
 
     def test_resilient_backend_matches_plain(self):
         cells = self._cells()
